@@ -10,6 +10,7 @@ module usable without it.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,7 +102,7 @@ def is_prime(x: int) -> bool:
 _sieve_flags = bytearray()
 _sieve_primes: list[int] = []
 
-# trial division sieves at most this far; beyond it a 2-3-5 wheel takes over
+# trial division sieves at most this far; beyond it rho does the splitting
 _SIEVE_CAP = 1 << 24
 
 
@@ -126,26 +127,14 @@ def _primes_up_to(bound: int) -> list[int]:
     return _sieve_primes[:cut]
 
 
-_WHEEL_30 = (1, 7, 11, 13, 17, 19, 23, 29)
-
-
-def _wheel_candidates(start: int, bound: int):
-    # divisor candidates coprime to 30, for trial bounds past the sieve cap
-    base = start - start % 30
-    while base <= bound:
-        for off in _WHEEL_30:
-            c = base + off
-            if start <= c <= bound:
-                yield c
-        base += 30
-
-
 @dataclass(frozen=True)
 class Effort:
     """Budget for factorize: trial division first, then Pollard rho.
 
-    rho_step_budget counts iterations of the rho map across the whole
-    recursive factorization of one input; None means unbounded.
+    Trial division stops at 2**24 even when trial_division_bound is
+    larger; rho splits whatever is left above that.  rho_step_budget
+    counts iterations of the rho map across the whole recursive
+    factorization of one input; None means unbounded.
     """
 
     trial_division_bound: int = 1_000_000
@@ -216,7 +205,6 @@ def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:
     if n % 2 == 0:
         return 2, 0
     used = 0
-    limit = budget if budget is not None else None
     for c in range(1, 64):
         y = mpz(2)
         m = 512
@@ -227,7 +215,7 @@ def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:
             for _ in range(r):
                 y = (y * y + c) % n
             used += r
-            if limit is not None and used > limit:
+            if budget is not None and used > budget:
                 return None, used
             k = 0
             while k < r and g == 1:
@@ -239,7 +227,7 @@ def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:
                 used += steps
                 g = _gmp_gcd(q, n)
                 k += m
-                if limit is not None and used > limit:
+                if budget is not None and used > budget:
                     return None, used
             r *= 2
         if g == n:
@@ -248,7 +236,7 @@ def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:
                 ys = (ys * ys + c) % n
                 used += 1
                 g = _gmp_gcd(x - ys, n)
-                if limit is not None and used > limit:
+                if budget is not None and used > budget:
                     return None, used
         if g != n:
             return int(g), used
@@ -299,16 +287,6 @@ def factorize(x: int, effort: Effort | None = None) -> Factorization:
                     e += 1
                     rem //= p
                 found[p] = e
-        if bound > _SIEVE_CAP and rem > 1:
-            for p in _wheel_candidates(_SIEVE_CAP + 1, bound):
-                if p * p > rem:
-                    break
-                if rem % p == 0:
-                    e = 0
-                    while rem % p == 0:
-                        e += 1
-                        rem //= p
-                    found[p] = e
     cofactor = 1
     if rem > 1:
         budget = effort.rho_step_budget if effort else None
@@ -335,6 +313,20 @@ def factorize(x: int, effort: Effort | None = None) -> Factorization:
     return Factorization(x, tuple(sorted(found.items())), cofactor)
 
 
+# distinct indices whose factorization stays cached
+_INDEX_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_INDEX_CACHE_SIZE)
+def _index_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of a positive index n, primes ascending.
+
+    The one place an index is factored: every triple asks for the same
+    few indices again, so the pairs are cached.
+    """
+    return factorize(n).factors
+
+
 def vp(x: int, p: int) -> int:
     """p-adic valuation: the largest e with p**e dividing x.  x must be
     nonzero (the valuation of 0 is infinite)."""
@@ -355,7 +347,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi expects a positive integer")
     result = n
-    for p, _ in factorize(n).factors:
+    for p, _ in _index_factors(n):
         result -= result // p
     return result
 
@@ -376,19 +368,16 @@ def mobius(n: int) -> int:
     """Moebius function: 0 on squareful n, else parity of the prime count."""
     if n < 1:
         raise ValueError("mobius expects a positive integer")
-    if n == 1:
-        return 1
-    f = factorize(n)
-    for _, e in f.factors:
-        if e > 1:
-            return 0
-    return -1 if len(f.factors) % 2 else 1
+    factors = _index_factors(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
 
 
 def largest_prime_divisor(n: int) -> int:
     if n < 2:
         raise ValueError("largest_prime_divisor needs n >= 2")
-    return factorize(n).factors[-1][0]
+    return _index_factors(n)[-1][0]
 
 
 def divisors(n: int) -> list[int]:
@@ -396,6 +385,6 @@ def divisors(n: int) -> list[int]:
     if n < 1:
         raise ValueError("divisors expects a positive integer")
     out = [1]
-    for p, e in factorize(n).factors:
+    for p, e in _index_factors(n):
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)

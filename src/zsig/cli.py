@@ -12,6 +12,7 @@ stdout carries only the report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -129,17 +130,15 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[dic
         for (a, b) in pairs
     ]
     rows: list[dict] = []
-    if config.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            for i, chunk in enumerate(pool.map(_scan_pair, jobs)):
-                rows.extend(chunk)
-                if progress and (i + 1) % 25 == 0:
-                    print(f"{i + 1}/{len(jobs)} pairs done", file=sys.stderr, flush=True)
-    else:
-        for i, job in enumerate(jobs):
-            rows.extend(_scan_pair(job))
-            if progress and (i + 1) % 25 == 0:
-                print(f"{i + 1}/{len(jobs)} pairs done", file=sys.stderr, flush=True)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if config.parallelism > 1:
+            pool = ProcessPoolExecutor(max_workers=config.parallelism)
+            mapper = stack.enter_context(pool).map
+        for i, chunk in enumerate(mapper(_scan_pair, jobs), 1):
+            rows.extend(chunk)
+            if progress and i % 25 == 0:
+                print(f"{i}/{len(jobs)} pairs done", file=sys.stderr, flush=True)
     rows.sort(key=lambda r: (r["a"], r["b"], r["n"]))
     exceptions = [
         {

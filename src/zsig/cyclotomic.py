@@ -11,9 +11,10 @@ index until it is squarefree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import divisors, gcd, mobius
+from .arith import _index_factors, divisors, gcd, mobius
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,7 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
     if n == 1:
         poly = IntPoly((-1, 1))
     else:
-        rad = 1
-        for p, _ in _factor_small(n):
-            rad *= p
+        rad = math.prod(p for p, _ in _index_factors(n))
         if rad != n:
             base = cyclotomic_coeffs(rad).coeffs
             stretch = n // rad
@@ -132,23 +131,6 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
     if n <= COEFF_CACHE_LIMIT:
         _coeff_cache[n] = poly
     return poly
-
-
-def _factor_small(n: int) -> list[tuple[int, int]]:
-    # plain trial factorization; indices here are small
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                e += 1
-                n //= d
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def eval_homogeneous(n: int, a: int, b: int) -> int:
@@ -208,13 +190,12 @@ def _eval_reduced(n: int, a: int, b: int) -> int:
         return a - b
     if n == 2:
         return a + b
-    rad = 1
-    for p, _ in _factor_small(n):
-        rad *= p
+    factors = _index_factors(n)
+    rad = math.prod(p for p, _ in factors)
     if rad != n:
         stretch = n // rad
         return _eval_reduced(rad, a**stretch, b**stretch)
-    p = _factor_small(n)[-1][0]
+    p = factors[-1][0]
     m = n // p
     q, r = divmod(_eval_reduced(m, a**p, b**p), _eval_reduced(m, a, b))
     if r != 0:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arith import Effort, Factorization, factorize, is_prime, largest_prime_divisor, vp
+from .arith import _index_factors
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
 from .valuation import multiplicative_order, vp_cyclotomic
 
@@ -145,33 +146,10 @@ def _order_equals(q: int, a: int, b: int, n: int) -> bool:
     x = a * pow(b, q - 2, q) % q
     if pow(x, n, q) != 1:
         return False
-    for r, _ in factorize(n).factors:
+    for r, _ in _index_factors(n):
         if pow(x, n // r, q) == 1:
             return False
     return True
-
-
-def _factor_phi(t: Triple, effort: Effort | None) -> tuple[int, Factorization]:
-    """Factor the cyclotomic value, peeling the two candidate small primes
-    first so the expensive splitting runs on the order-n part only."""
-    a, b, n = t.a, t.b, t.n
-    value = eval_homogeneous(n, a, b)
-    found: dict[int, int] = {}
-    rem = value
-    small = {2}
-    if n >= 2:
-        small.add(largest_prime_divisor(n))
-    for p in sorted(small):
-        e = 0
-        while rem % p == 0:
-            e += 1
-            rem //= p
-        if e:
-            found[p] = e
-    inner = factorize(rem, effort) if rem > 1 else Factorization(1, ())
-    for p, e in inner.factors:
-        found[p] = found.get(p, 0) + e
-    return value, Factorization(value, tuple(sorted(found.items())), inner.cofactor)
 
 
 def zsigmondy_primes(
@@ -187,7 +165,7 @@ def zsigmondy_primes(
     Raises IncompleteFactorizationError when the budget is exhausted
     before the value splits completely.
     """
-    _, fac, zsig = _zsig_core(t, effort)
+    fac, zsig = _zsig_core(t, eval_homogeneous(t.n, t.a, t.b), effort)
     if not fac.complete:
         raise IncompleteFactorizationError(
             f"budget exhausted with composite cofactor of {fac.cofactor.bit_length()} bits",
@@ -198,13 +176,26 @@ def zsigmondy_primes(
 
 
 def _zsig_core(
-    t: Triple, effort: Effort | None
-) -> tuple[int, Factorization, list[tuple[int, int]]]:
-    value, fac = _factor_phi(t, effort)
+    t: Triple, value: int, effort: Effort | None
+) -> tuple[Factorization, list[tuple[int, int]]]:
+    """Factor the cyclotomic value of t and keep the primes of order n.
+
+    Besides order-n primes the value can hold only 2 and the largest
+    prime of n; trial division finds them when its bound reaches them,
+    rho splits them off otherwise.
+    """
+    fac = factorize(value, effort)
     zsig = [
         (q, e) for q, e in fac.factors if _order_equals(q, t.a, t.b, t.n)
     ]
-    return value, fac, zsig
+    return fac, zsig
+
+
+def _large(
+    zsig: list[tuple[int, int]], n: int, multiplier: int
+) -> tuple[int, ...]:
+    # large: squared in a**n - b**n, or beyond multiplier * n + 1
+    return tuple(q for q, e in zsig if e >= 2 or q > multiplier * n + 1)
 
 
 def large_zsigmondy_primes(
@@ -214,11 +205,7 @@ def large_zsigmondy_primes(
     multiplier * n + 1.  multiplier = 1 is the standard notion."""
     if multiplier < 1:
         raise ValueError("multiplier must be a positive integer")
-    return [
-        q
-        for q, e in zsigmondy_primes(t, effort)
-        if e >= 2 or q > multiplier * t.n + 1
-    ]
+    return list(_large(zsigmondy_primes(t, effort), t.n, multiplier))
 
 
 def _phi_mod(n: int, a: int, b: int, p: int) -> int:
@@ -373,10 +360,9 @@ def analyze(
         raise ValueError("multiplier must be a positive integer")
     fast = has_large_zsigmondy_fast(t)
     exception = classify_exception(t)
-    value, fac, zsig = _zsig_core(t, effort)
-    large = tuple(
-        q for q, e in zsig if e >= 2 or q > multiplier * t.n + 1
-    )
+    value = fast.phi_value
+    fac, zsig = _zsig_core(t, value, effort)
+    large = _large(zsig, t.n, multiplier)
     if not fac.complete:
         report = ZsigReport(
             triple=t,

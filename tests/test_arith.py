@@ -181,6 +181,14 @@ class TestFactorize:
         assert f.cofactor == p * q
         assert not f.complete
 
+    def test_trial_bound_past_sieve_cap(self):
+        # trial division stops at 2**24 whatever the bound; rho splits the
+        # two primes just above it
+        p, q = 16777259, 16777289
+        f = factorize(p * q, Effort(trial_division_bound=1 << 25))
+        assert f.complete
+        assert f.as_dict() == {p: 1, q: 1}
+
     @given(st.integers(1, 10**12))
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, x):

@@ -210,6 +210,44 @@ class TestSufficiency:
                     assert has_large_zsigmondy_fast(t).has_large
 
 
+class TestDecisionSweep:
+    """The factorization-free decision over whole ranges, against the
+    exception table and against Feit's b = 1 list (On large Zsigmondy
+    primes, Proc. AMS 102, 1988)."""
+
+    # the table's rows with n >= 3
+    TABLE = {
+        (2, 1, 4), (3, 1, 4),
+        (2, 1, 6), (3, 1, 6), (3, 2, 6), (5, 4, 6),
+        (2, 1, 10), (2, 1, 12), (2, 1, 18),
+    }
+    # no large prime, yet in no row of the table
+    OUTSIDE_TABLE = {(3, 2, 10), (5, 1, 6)}
+
+    @staticmethod
+    def _no_large(triples):
+        return {
+            (t.a, t.b, t.n)
+            for t in triples
+            if not has_large_zsigmondy_fast(t).has_large
+        }
+
+    def test_coprime_pairs(self):
+        triples = [
+            Triple(a, b, n) for a, b in _coprime_pairs(40) for n in range(3, 61)
+        ]
+        assert self._no_large(triples) == self.TABLE | self.OUTSIDE_TABLE
+        predicted = {
+            (t.a, t.b, t.n) for t in triples if classify_exception(t).is_exception
+        }
+        assert predicted == self.TABLE
+
+    def test_feit_b_equals_one(self):
+        triples = [Triple(a, 1, n) for a in range(2, 401) for n in range(3, 61)]
+        feit = {(2, 4), (2, 6), (2, 10), (2, 12), (2, 18), (3, 4), (3, 6), (5, 6)}
+        assert self._no_large(triples) == {(a, 1, n) for a, n in feit}
+
+
 class TestClassifyException:
     def test_examples(self):
         c = classify_exception(Triple(5, 4, 6))
@@ -315,6 +353,17 @@ class TestAnalyze:
         assert rep.large_zsig_primes == ()
         assert not rep.has_large
         assert rep.fast.has_large  # plain-threshold decision unchanged
+
+    def test_evaluates_phi_once(self, monkeypatch):
+        calls = []
+
+        def counted(n, a, b):
+            calls.append((n, a, b))
+            return eval_homogeneous(n, a, b)
+
+        monkeypatch.setattr("zsig.zsigmondy.eval_homogeneous", counted)
+        analyze(Triple(3, 2, 10))
+        assert calls == [(10, 3, 2)]
 
     def test_fast_agrees_with_list_on_small_range(self):
         for a, b in _coprime_pairs(9):
