@@ -297,8 +297,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _analyze_payload(rep: ZsigReport) -> dict:
     payload = _row_from_report(rep)
     fac = rep.phi_factors
-    payload["factors"] = [[p, e] for p, e in fac.factors] if fac else []
-    payload["cofactor"] = fac.cofactor if fac else 1
+    payload["factors"] = [[p, e] for p, e in fac.factors]
+    payload["cofactor"] = fac.cofactor
     payload["fast"] = {
         "has_large": rep.fast.has_large,
         "removed_prime": rep.fast.removed_prime,
@@ -314,16 +314,13 @@ def _render_analyze_text(rep: ZsigReport) -> str:
     t = rep.triple
     lines = [f"triple a={t.a} b={t.b} n={t.n}", f"value {rep.phi_value}"]
     fac = rep.phi_factors
-    if fac is not None:
-        parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors]
-        if not fac.complete:
-            parts.append(f"[composite {fac.cofactor}]")
-        lines.append("factors " + (" * ".join(parts) if parts else "1"))
-        for p, _ in fac.factors:
-            cls = classify_prime_divisor(p, t)
-            lines.append(
-                f"  {p}: {cls.case.value} (order {cls.k}, beta {cls.beta})"
-            )
+    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors]
+    if not fac.complete:
+        parts.append(f"[composite {fac.cofactor}]")
+    lines.append("factors " + (" * ".join(parts) if parts else "1"))
+    for p, _ in fac.factors:
+        cls = classify_prime_divisor(p, t)
+        lines.append(f"  {p}: {cls.case.value} (order {cls.k}, beta {cls.beta})")
     zs = ", ".join(f"{q} (exponent {e})" for q, e in rep.zsig_primes) or "none"
     lines.append(f"order-{t.n} primes: {zs}")
     threshold = rep.large_multiplier * t.n + 1

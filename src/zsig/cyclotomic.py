@@ -3,10 +3,20 @@ two-variable homogeneous values.
 
 The homogeneous value of index n at (a, b) is b**phi(n) times the
 one-variable polynomial evaluated at a/b, always an integer.  Three
-independent evaluators are provided so they can check each other: direct
-Horner evaluation of the coefficient vector, an inclusion-exclusion
-product over divisors, and an index-reduction evaluator that rewrites the
-index until it is squarefree.
+independent evaluators are provided so they can check each other, each
+through its own identity:
+
+- eval_homogeneous: the divisor product
+  Phi_n(a, b) = prod over d | rad(n) of (a**(n/d) - b**(n/d))**mu(d),
+  with the exponents n/d split by the sign of mu(d) and cached per index;
+- eval_mobius: the same product taken from the definition, walking every
+  divisor of n and its Moebius value on each call, with no cache;
+- eval_recursive: index reduction, Phi_{n}(a, b) = Phi_{rad n}(a**s, b**s)
+  with s = n / rad(n), and Phi_{mp}(a, b) = Phi_m(a**p, b**p) / Phi_m(a, b)
+  for a prime p not dividing m.
+
+Horner evaluation of the coefficient vector serves the modular value in
+zsigmondy._phi_mod and the tests.
 """
 
 from __future__ import annotations
@@ -15,6 +25,18 @@ import math
 from dataclasses import dataclass
 
 from .arith import _index_factors, divisors, gcd, mobius
+
+
+def _check(a: int, b: int, n: int) -> None:
+    """Raise ValueError unless (a, b, n) is coprime, ordered, positive."""
+    if b < 1:
+        raise ValueError("b must be at least 1")
+    if a <= b:
+        raise ValueError("a must exceed b")
+    if gcd(a, b) != 1:
+        raise ValueError("a and b must be coprime")
+    if n < 1:
+        raise ValueError("n must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -26,14 +48,7 @@ class Triple:
     n: int
 
     def __post_init__(self) -> None:
-        if self.b < 1:
-            raise ValueError("b must be at least 1")
-        if self.a <= self.b:
-            raise ValueError("a must exceed b")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError("a and b must be coprime")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        _check(self.a, self.b, self.n)
 
 
 @dataclass(frozen=True)
@@ -83,9 +98,25 @@ def _div_binomial(poly: list[int], k: int) -> list[int]:
 
 
 _coeff_cache: dict[int, IntPoly] = {}
+_split_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 # indices above this are computed on demand and not retained
 COEFF_CACHE_LIMIT = 4096
+
+
+def _mobius_split(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exponents n/d over the squarefree divisors d of n, split into
+    those with mu(d) = +1 and those with mu(d) = -1."""
+    split = _split_cache.get(n)
+    if split is not None:
+        return split
+    plus, minus = [n], []
+    for p, _ in _index_factors(n):
+        plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
+    split = (tuple(plus), tuple(minus))
+    if n <= COEFF_CACHE_LIMIT:
+        _split_cache[n] = split
+    return split
 
 
 def cyclotomic_coeffs(n: int) -> IntPoly:
@@ -114,14 +145,7 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
                 out[i * stretch] = c
             poly = IntPoly(tuple(out))
         else:
-            nums: list[int] = []
-            dens: list[int] = []
-            for d in divisors(n):
-                mu = mobius(d)
-                if mu == 1:
-                    nums.append(n // d)
-                elif mu == -1:
-                    dens.append(n // d)
+            nums, dens = _mobius_split(n)
             work = [1]
             for k in nums:
                 work = _mul_binomial(work, k)
@@ -134,27 +158,28 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
 
 
 def eval_homogeneous(n: int, a: int, b: int) -> int:
-    """Homogeneous cyclotomic value at (a, b) by Horner evaluation."""
-    Triple(a, b, n)
-    if n == 1:
-        return a - b
-    if n == 2:
-        return a + b
-    cs = cyclotomic_coeffs(n).coeffs
-    deg = len(cs) - 1
-    acc = cs[-1]
-    bpow = 1
-    for k in range(deg - 1, -1, -1):
-        bpow *= b
-        acc = acc * a + cs[k] * bpow
-    return acc
+    """Homogeneous cyclotomic value at (a, b) as the divisor product of
+    (a**e - b**e) over the cached Moebius exponent split of n, with one
+    exact division at the end."""
+    _check(a, b, n)
+    plus, minus = _mobius_split(n)
+    num = 1
+    for e in plus:
+        num *= a**e - b**e
+    den = 1
+    for e in minus:
+        den *= a**e - b**e
+    q, r = divmod(num, den)
+    if r != 0:
+        raise ArithmeticError("divisor product did not divide exactly")
+    return q
 
 
 def eval_mobius(n: int, a: int, b: int) -> int:
     """Same value via the divisor product of (a**d - b**d) terms raised to
     the Moebius sign, kept as one numerator and one denominator with a
     single exact division at the end."""
-    Triple(a, b, n)
+    _check(a, b, n)
     if n == 1:
         return a - b
     if n == 2:
@@ -181,7 +206,7 @@ def eval_recursive(n: int, a: int, b: int) -> int:
     """Same value by index reduction: replace (a, b) by prime-power powers
     until the index is squarefree, then split off one prime at a time via
     the quotient of values at (a**p, b**p) and (a, b)."""
-    Triple(a, b, n)
+    _check(a, b, n)
     return _eval_reduced(n, a, b)
 
 
@@ -205,7 +230,7 @@ def _eval_reduced(n: int, a: int, b: int) -> int:
 
 def product_identity_check(n: int, a: int, b: int) -> bool:
     """True iff the divisor-indexed values multiply to a**n - b**n."""
-    Triple(a, b, n)
+    _check(a, b, n)
     prod = 1
     for d in divisors(n):
         prod *= eval_homogeneous(d, a, b)
@@ -214,7 +239,7 @@ def product_identity_check(n: int, a: int, b: int) -> bool:
 
 def bounds_check(n: int, a: int, b: int) -> bool:
     """Strict two-sided bound: (a-b)**phi < value < (a+b)**phi, n >= 3."""
-    Triple(a, b, n)
+    _check(a, b, n)
     if n < 3:
         raise ValueError("the strict bounds need n >= 3")
     value = eval_homogeneous(n, a, b)

@@ -83,6 +83,10 @@ class ExceptionCase:
         return out
 
 
+# the frozen result shared by every triple the table does not list
+_NO_EXCEPTION = ExceptionCase(ExceptionKind.NONE)
+
+
 @dataclass(frozen=True)
 class FastDecision:
     """Existence decision with the arithmetic that produced it.
@@ -109,7 +113,7 @@ class ZsigReport:
     has_large: bool
     exception: ExceptionCase
     factorization_complete: bool
-    phi_factors: Factorization | None
+    phi_factors: Factorization
     fast: FastDecision
     large_multiplier: int = 1
 
@@ -325,7 +329,7 @@ def classify_exception(t: Triple) -> ExceptionCase:
             return ExceptionCase(
                 ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO, s=s, t=1
             )
-        return ExceptionCase(ExceptionKind.NONE)
+        return _NO_EXCEPTION
     if n == 4 and (a, b) in {(2, 1), (3, 1)}:
         return ExceptionCase(ExceptionKind.SMALL_PAIR_N4, pair=(a, b))
     if n == 6:
@@ -335,7 +339,7 @@ def classify_exception(t: Triple) -> ExceptionCase:
             return ExceptionCase(ExceptionKind.SMALL_PAIR_N6, pair=(a, b))
     if n in {10, 12, 18} and (a, b) == (2, 1):
         return ExceptionCase(ExceptionKind.PAIR_2_1_N10_12_18, pair=(2, 1))
-    return ExceptionCase(ExceptionKind.NONE)
+    return _NO_EXCEPTION
 
 
 def analyze(

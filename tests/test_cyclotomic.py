@@ -2,8 +2,10 @@ from math import gcd as _gcd
 
 import pytest
 
+from zsig import cyclotomic
 from zsig.arith import divisors, euler_phi, totient_sieve
 from zsig.cyclotomic import (
+    COEFF_CACHE_LIMIT,
     IntPoly,
     Triple,
     bounds_check,
@@ -144,6 +146,59 @@ class TestEvaluation:
             eval_mobius(5, 3, 3)
         with pytest.raises(ValueError):
             eval_recursive(5, 4, 2)
+
+
+def _horner_homogeneous(coeffs, a, b):
+    """b**deg * f(a/b) for an ascending coefficient vector, by Horner."""
+    acc = coeffs[-1]
+    bpow = 1
+    for c in reversed(coeffs[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return acc
+
+
+class TestDivisorProduct:
+    def test_matches_horner_on_coefficients(self):
+        for a in range(2, 31):
+            for b in range(1, a):
+                if _gcd(a, b) != 1:
+                    continue
+                for n in range(1, 61):
+                    expected = _horner_homogeneous(cyclotomic_coeffs(n).coeffs, a, b)
+                    assert eval_homogeneous(n, a, b) == expected
+
+    def test_non_squarefree_and_uncached_indices(self):
+        # 4100 = 2^2 * 5^2 * 41 lies above the cache limit
+        assert 4100 > COEFF_CACHE_LIMIT
+        for n in (8, 54, 64, 72, 4100):
+            for a, b in ((2, 1), (3, 2), (7, 1), (11, 6)):
+                assert eval_homogeneous(n, a, b) == hom_value(n, a, b)
+
+    def test_split_cache_stops_at_limit(self):
+        eval_homogeneous(4100, 3, 2)
+        cyclotomic_coeffs(4372)
+        eval_homogeneous(COEFF_CACHE_LIMIT, 3, 2)
+        assert 4100 not in cyclotomic._split_cache
+        assert COEFF_CACHE_LIMIT in cyclotomic._split_cache
+        assert max(cyclotomic._split_cache) <= COEFF_CACHE_LIMIT
+
+
+class TestValidation:
+    # one input of each invalid kind, in the order the checks run
+    BAD = [(2, 0, 5), (3, 3, 5), (6, 3, 5), (2, 1, 0)]
+
+    def test_evaluators_share_triple_messages(self):
+        messages = set()
+        for a, b, n in self.BAD:
+            with pytest.raises(ValueError) as expected:
+                Triple(a, b, n)
+            messages.add(str(expected.value))
+            for evaluate in (eval_homogeneous, eval_mobius, eval_recursive):
+                with pytest.raises(ValueError) as raised:
+                    evaluate(n, a, b)
+                assert str(raised.value) == str(expected.value)
+        assert len(messages) == len(self.BAD)
 
 
 class TestProductIdentity:

@@ -1,3 +1,4 @@
+import dataclasses
 from math import gcd as _gcd
 
 import pytest
@@ -288,6 +289,15 @@ class TestClassifyException:
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
             classify_exception(Triple(3, 1, 1))
+
+    def test_none_result_is_shared_and_frozen(self):
+        # every triple the table does not list gets the same frozen result
+        c = classify_exception(Triple(7, 2, 2))
+        assert classify_exception(Triple(4, 1, 4)) is c
+        assert classify_exception(Triple(11, 3, 31)) is c
+        assert c.kind is ExceptionKind.NONE and c.witness() == {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.kind = ExceptionKind.SMALL_PAIR_N4
 
     def test_witness_shapes(self):
         w = classify_exception(Triple(5, 3, 2)).witness()
