@@ -109,8 +109,6 @@ _SIEVE_CAP = 1 << 24
 def _primes_up_to(bound: int) -> list[int]:
     # grow-once cached sieve shared by trial division callers
     global _sieve_flags, _sieve_primes
-    if bound < 2:
-        return []
     bound = min(bound, _SIEVE_CAP)
     if len(_sieve_flags) <= bound:
         size = max(bound + 1, 1 << 16)
@@ -131,10 +129,12 @@ def _primes_up_to(bound: int) -> list[int]:
 class Effort:
     """Budget for factorize: trial division first, then Pollard rho.
 
-    Trial division stops at 2**24 even when trial_division_bound is
-    larger; rho splits whatever is left above that.  rho_step_budget
-    counts iterations of the rho map across the whole recursive
-    factorization of one input; None means unbounded.
+    Trial division always tries the primes up to 7 and stops at 2**24
+    even when trial_division_bound is larger; rho splits whatever is left
+    above that.  Index facts trial-divide to sqrt(n), which factors an
+    index completely.  rho_step_budget counts iterations of the rho map
+    across the whole recursive factorization of one input; None means
+    unbounded.
     """
 
     trial_division_bound: int = 1_000_000
@@ -202,8 +202,6 @@ def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:
     found elsewhere; correctness does not depend on that, progress does.
     """
     n = mpz(n)
-    if n % 2 == 0:
-        return 2, 0
     used = 0
     for c in range(1, 64):
         y = mpz(2)
@@ -270,23 +268,18 @@ def factorize(x: int, effort: Effort | None = None) -> Factorization:
         return Factorization(1, ())
     found: dict[int, int] = {}
     rem = x
-    for p in (2, 3, 5, 7):
-        while rem % p == 0:
-            found[p] = found.get(p, 0) + 1
-            rem //= p
     bound = effort.trial_division_bound if effort else Effort().trial_division_bound
-    if rem > 1 and bound > 7:
-        for p in _primes_up_to(bound):
-            if p < 11:
-                continue
-            if p * p > rem:
-                break
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    e += 1
-                    rem //= p
-                found[p] = e
+    # the primes to 7 are always tried; past sqrt(rem) what is left is 1
+    # or a prime, which the rho stage records without spending a step
+    for p in _primes_up_to(max(bound, 7)):
+        if p * p > rem:
+            break
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                e += 1
+                rem //= p
+            found[p] = e
     cofactor = 1
     if rem > 1:
         budget = effort.rho_step_budget if effort else None
@@ -294,8 +287,6 @@ def factorize(x: int, effort: Effort | None = None) -> Factorization:
         stack = [rem]
         while stack:
             y = stack.pop()
-            if y == 1:
-                continue
             if is_prime(y):
                 found[y] = found.get(y, 0) + 1
                 continue
@@ -305,7 +296,7 @@ def factorize(x: int, effort: Effort | None = None) -> Factorization:
                 continue
             g, used = _brent_rho(y, None if budget is None else budget - spent)
             spent += used
-            if g is None or g == y:
+            if g is None:
                 cofactor *= y
                 continue
             stack.append(g)
@@ -322,9 +313,11 @@ def _index_factors(n: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs of a positive index n, primes ascending.
 
     The one place an index is factored: every triple asks for the same
-    few indices again, so the pairs are cached.
+    few indices again, so the pairs are cached.  Trial division to
+    sqrt(n) factors n completely, so the sieve grows no further than
+    that needs.
     """
-    return factorize(n).factors
+    return factorize(n, Effort(math.isqrt(n))).factors
 
 
 def vp(x: int, p: int) -> int:

@@ -133,25 +133,22 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
     cached = _coeff_cache.get(n)
     if cached is not None:
         return cached
-    if n == 1:
-        poly = IntPoly((-1, 1))
+    rad = math.prod(p for p, _ in _index_factors(n))
+    if rad != n:
+        base = cyclotomic_coeffs(rad).coeffs
+        stretch = n // rad
+        out = [0] * ((len(base) - 1) * stretch + 1)
+        for i, c in enumerate(base):
+            out[i * stretch] = c
+        poly = IntPoly(tuple(out))
     else:
-        rad = math.prod(p for p, _ in _index_factors(n))
-        if rad != n:
-            base = cyclotomic_coeffs(rad).coeffs
-            stretch = n // rad
-            out = [0] * ((len(base) - 1) * stretch + 1)
-            for i, c in enumerate(base):
-                out[i * stretch] = c
-            poly = IntPoly(tuple(out))
-        else:
-            nums, dens = _mobius_split(n)
-            work = [1]
-            for k in nums:
-                work = _mul_binomial(work, k)
-            for k in dens:
-                work = _div_binomial(work, k)
-            poly = IntPoly(tuple(work))
+        nums, dens = _mobius_split(n)
+        work = [1]
+        for k in nums:
+            work = _mul_binomial(work, k)
+        for k in dens:
+            work = _div_binomial(work, k)
+        poly = IntPoly(tuple(work))
     if n <= COEFF_CACHE_LIMIT:
         _coeff_cache[n] = poly
     return poly
@@ -180,10 +177,6 @@ def eval_mobius(n: int, a: int, b: int) -> int:
     the Moebius sign, kept as one numerator and one denominator with a
     single exact division at the end."""
     _check(a, b, n)
-    if n == 1:
-        return a - b
-    if n == 2:
-        return a + b
     num = 1
     den = 1
     for d in divisors(n):
@@ -213,8 +206,6 @@ def eval_recursive(n: int, a: int, b: int) -> int:
 def _eval_reduced(n: int, a: int, b: int) -> int:
     if n == 1:
         return a - b
-    if n == 2:
-        return a + b
     factors = _index_factors(n)
     rad = math.prod(p for p, _ in factors)
     if rad != n:

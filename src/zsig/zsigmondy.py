@@ -214,10 +214,6 @@ def large_zsigmondy_primes(
 
 def _phi_mod(n: int, a: int, b: int, p: int) -> int:
     # Horner evaluation of the homogeneous value mod p; avoids big integers
-    if n == 1:
-        return (a - b) % p
-    if n == 2:
-        return (a + b) % p
     cs = cyclotomic_coeffs(n).coeffs
     acc = cs[-1] % p
     bpow = 1
@@ -247,7 +243,7 @@ def classify_prime_divisor(p: int, t: Triple) -> PrimeDivisorClass:
         return PrimeDivisorClass(DivisorCase.TWO_POWER, 2, 1, n.bit_length() - 1)
     if _order_equals(p, a, b, n):
         return PrimeDivisorClass(DivisorCase.ZSIGMONDY, p, n, 0)
-    if n >= 2 and p == largest_prime_divisor(n):
+    if p == largest_prime_divisor(n):
         k = multiplicative_order(p, a, b)
         beta = vp(n, p)
         if beta >= 1 and n == p**beta * k:
@@ -261,13 +257,13 @@ def has_large_zsigmondy_fast(t: Triple) -> FastDecision:
     """Factorization-free existence decision for a large Zsigmondy prime.
 
     Remove the one possible non-Zsigmondy prime from the cyclotomic value
-    C: at n = 2 the full power of two in a + b; at power-of-two n a single
-    factor 2 (when present); otherwise a single factor of the largest
-    prime dividing n (when present).  What remains is a product of primes
-    of order exactly n, each congruent to 1 mod n and hence at least
-    n + 1.  So: residual 1 means no Zsigmondy prime, residual n + 1 means
-    exactly one and it is not large, and residual > n + 1 forces either a
-    prime above n + 1 or a repeated prime, either of which is large.
+    C: at n = 2 every factor 2 of a + b; for n >= 3 a single factor of the
+    largest prime P(n) dividing n (when present), which is 2 when n is a
+    power of two.  What remains is a product of primes of order exactly
+    n, each congruent to 1 mod n and hence at least n + 1.  So: residual
+    1 means no Zsigmondy prime, residual n + 1 means exactly one and it is
+    not large, and residual > n + 1 forces either a prime above n + 1 or a
+    repeated prime, either of which is large.
     """
     a, b, n = t.a, t.b, t.n
     if n < 2:
@@ -282,10 +278,6 @@ def has_large_zsigmondy_fast(t: Triple) -> FastDecision:
             removed_exp += 1
         if removed_exp:
             removed_prime = 2
-    elif n & (n - 1) == 0:
-        if residual % 2 == 0:
-            residual //= 2
-            removed_prime, removed_exp = 2, 1
     else:
         p = largest_prime_divisor(n)
         if residual % p == 0:
@@ -367,48 +359,37 @@ def analyze(
     value = fast.phi_value
     fac, zsig = _zsig_core(t, value, effort)
     large = _large(zsig, t.n, multiplier)
-    if not fac.complete:
-        report = ZsigReport(
-            triple=t,
-            phi_value=value,
-            zsig_primes=tuple(zsig),
-            large_zsig_primes=large,
-            has_zsigmondy=bool(zsig) or fast.residual > 1,
-            has_large=fast.has_large,
-            exception=exception,
-            factorization_complete=False,
-            phi_factors=fac,
-            fast=fast,
-            large_multiplier=multiplier,
-        )
+    complete = fac.complete
+    if complete:
+        if multiplier == 1 and bool(large) != fast.has_large:
+            raise AssertionError(
+                f"factored and factorization-free decisions disagree on {t}"
+            )
+        for q, e in zsig:
+            if value % q != 0 or q % t.n != 1:
+                raise AssertionError(f"order-{t.n} prime {q} violates its invariants")
+            if multiplier == 1 and q not in large and (q != t.n + 1 or e != 1):
+                raise AssertionError(
+                    f"non-large Zsigmondy prime {q} must equal n + 1 with exponent 1"
+                )
+    report = ZsigReport(
+        triple=t,
+        phi_value=value,
+        zsig_primes=tuple(zsig),
+        large_zsig_primes=large,
+        has_zsigmondy=bool(zsig) or (not complete and fast.residual > 1),
+        has_large=bool(large) if complete else fast.has_large,
+        exception=exception,
+        factorization_complete=complete,
+        phi_factors=fac,
+        fast=fast,
+        large_multiplier=multiplier,
+    )
+    if not complete:
         raise IncompleteFactorizationError(
             f"budget exhausted splitting the value for {t}",
             fac,
             tuple(zsig),
             report,
         )
-    has_large = bool(large)
-    if multiplier == 1 and has_large != fast.has_large:
-        raise AssertionError(
-            f"factored and factorization-free decisions disagree on {t}"
-        )
-    for q, e in zsig:
-        if value % q != 0 or q % t.n != 1:
-            raise AssertionError(f"order-{t.n} prime {q} violates its invariants")
-        if multiplier == 1 and q not in large and (q != t.n + 1 or e != 1):
-            raise AssertionError(
-                f"non-large Zsigmondy prime {q} must equal n + 1 with exponent 1"
-            )
-    return ZsigReport(
-        triple=t,
-        phi_value=value,
-        zsig_primes=tuple(zsig),
-        large_zsig_primes=large,
-        has_zsigmondy=bool(zsig),
-        has_large=has_large,
-        exception=exception,
-        factorization_complete=True,
-        phi_factors=fac,
-        fast=fast,
-        large_multiplier=multiplier,
-    )
+    return report

@@ -8,6 +8,7 @@ exactly one red test on a correct build.  The README's "known divergences"
 section carries the analysis.
 """
 
+from collections import Counter
 from math import gcd as _gcd
 
 import pytest
@@ -82,11 +83,13 @@ def test_criterion_1_reference_range_scan(reference_scan):
         )
 
     n_inc = report["summary"]["incomplete_count"]
+    budget = report["config"]["rho_step_budget"]
     if n_inc:
+        per_n = Counter(e["n"] for e in report["incomplete"])
+        by_n = ", ".join(f"n = {n}: {c}" for n, c in sorted(per_n.items()))
         problems.append(
             f"{n_inc} triples left with an unfactored composite at the "
-            f"default budget (hardest residues are 39-46 digit semiprime-"
-            f"like values at n in {{29, 31}})"
+            f"default budget of {budget} rho steps per value ({by_n})"
         )
 
     exit_code = _scan_exit_code(report)
@@ -109,7 +112,7 @@ def test_criterion_1_reference_range_scan(reference_scan):
         + "\nThe exception-set portion above is the part that can hold; "
         "the mismatch triples are genuine counterexamples to the table "
         "and the incomplete triples are genuinely hard factorizations "
-        "(beyond 2*10^8 rho steps each).  See README, known divergences."
+        f"(beyond {budget} rho steps each).  See README, known divergences."
     )
 
 

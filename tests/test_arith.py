@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zsig import arith
 from zsig.arith import (
     Effort,
     Factorization,
@@ -200,10 +201,40 @@ class TestFactorize:
         assert prod == x
         assert f.as_dict() == factor_oracle(x)
 
+    def test_small_trial_bounds_match_oracle(self):
+        # bounds below 7 still try the primes up to 7
+        for bound in range(13):
+            effort = Effort(bound, None)
+            for x in range(1, 3000):
+                assert factorize(x, effort).as_dict() == factor_oracle(x), (x, bound)
+
+    def test_small_trial_bounds_without_rho(self):
+        for bound in range(13):
+            tried = [p for p in range(2, max(bound, 7) + 1) if is_prime_oracle(p)]
+            effort = Effort(bound, 0)
+            for x in range(1, 3000):
+                f = factorize(x, effort)
+                prod = f.cofactor
+                for p, e in f.factors:
+                    prod *= p**e
+                assert prod == x, (x, bound)
+                found = f.as_dict()
+                assert all(p in found for p in tried if x % p == 0), (x, bound)
+
     def test_perfect_powers(self):
         assert factorize(2**64).as_dict() == {2: 64}
         assert factorize((10**9 + 7) ** 2).as_dict() == {10**9 + 7: 2}
         assert factorize(6**12).as_dict() == {2: 12, 3: 12}
+
+
+class TestIndexFactors:
+    def test_trial_division_stops_at_sqrt(self, monkeypatch):
+        # 22 has the prime factor 11, yet factoring it as an index needs
+        # no sieve beyond the smallest one
+        monkeypatch.setattr(arith, "_sieve_flags", bytearray())
+        monkeypatch.setattr(arith, "_sieve_primes", [])
+        assert arith._index_factors.__wrapped__(22) == ((2, 1), (11, 1))
+        assert len(arith._sieve_flags) <= (1 << 16) + 1
 
 
 class TestFactorizationInvariants:

@@ -231,6 +231,39 @@ class TestScan:
         assert "scanned" in out
         assert "mismatches 0" in out
 
+    def test_text_lists_mismatches(self, capsys):
+        code, out, _ = run(
+            capsys, "scan", "--a-max", "5", "--n-max", "10", "--format", "text"
+        )
+        assert code == 1
+        lines = out.splitlines()
+        block = lines.index("mismatches (table prediction vs computed):")
+        assert lines[block + 1 : block + 3] == [
+            "  (3,2,10) table=True computed=False",
+            "  (5,1,6) table=True computed=False",
+        ]
+
+    def test_text_lists_incomplete(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "scan", "--a-max", "5", "--n-max", "5",
+            "--trial-bound", "10", "--rho-budget", "1", "--format", "text",
+        )
+        assert code == 2
+        lines = out.splitlines()
+        block = lines.index("incomplete factorizations:")
+        assert "  (5,4,5)" in lines[block + 1 :]
+
+    def test_csv_marks_incomplete_rows(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "scan", "--a-max", "5", "--n-max", "5",
+            "--trial-bound", "10", "--rho-budget", "1", "--format", "csv",
+        )
+        assert code == 2
+        row = next(l for l in out.splitlines() if l.startswith("5,4,5,2101,"))
+        assert row.split(",")[-1] == "2"
+
     def test_env_var_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ZSIG_FORMAT", "csv")
         code, out, _ = run(capsys, "scan", "--a-max", "3", "--n-max", "4")
