@@ -111,7 +111,7 @@ def _primes_up_to(bound: int) -> list[int]:
     global _sieve_flags, _sieve_primes
     bound = min(bound, _SIEVE_CAP)
     if len(_sieve_flags) <= bound:
-        size = max(bound + 1, 1 << 16)
+        size = min(max(bound + 1, 2 * len(_sieve_flags)), _SIEVE_CAP + 1)
         flags = bytearray([1]) * size
         flags[0] = flags[1] = 0
         for i in range(2, math.isqrt(size - 1) + 1):
@@ -142,9 +142,9 @@ class Effort:
 
     def __post_init__(self) -> None:
         if self.trial_division_bound < 0:
-            raise ValueError("trial_division_bound must be nonnegative")
+            raise ValueError("trial bound must be nonnegative")
         if self.rho_step_budget is not None and self.rho_step_budget < 0:
-            raise ValueError("rho_step_budget must be nonnegative")
+            raise ValueError("rho budget must be nonnegative")
 
 
 @dataclass(frozen=True)

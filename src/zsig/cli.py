@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 from .arith import Effort, gcd
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
-from .zsigmondy import (
-    IncompleteFactorizationError,
-    ZsigReport,
-    analyze,
-    classify_prime_divisor,
-)
+from .zsigmondy import ZsigReport, analyze, classify_prime_divisor
 
 EXIT_OK = 0
 EXIT_EXCEPTION = 1
@@ -54,18 +49,13 @@ ANALYZE_RHO_BUDGET = 40_000_000
 class ScanConfig:
     a_max: int
     n_max: int
-    trial_division_bound: int = SCAN_TRIAL_BOUND
-    rho_step_budget: int | None = SCAN_RHO_BUDGET
+    effort: Effort = Effort(SCAN_TRIAL_BOUND, SCAN_RHO_BUDGET)
     parallelism: int = 1
     output_format: str = "json"
 
     def __post_init__(self) -> None:
         if self.a_max < 2 or self.n_max < 2:
             raise ValueError("a_max and n_max must be at least 2")
-        if self.trial_division_bound < 0:
-            raise ValueError("trial bound must be nonnegative")
-        if self.rho_step_budget is not None and self.rho_step_budget < 0:
-            raise ValueError("rho budget must be nonnegative")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         if self.output_format not in ("json", "csv", "text"):
@@ -93,18 +83,12 @@ def _row_from_report(rep: ZsigReport) -> dict:
     }
 
 
-def _scan_pair(job: tuple[int, int, int, int, int | None]) -> list[dict]:
-    a, b, n_max, trial_bound, rho_budget = job
-    effort = Effort(trial_bound, rho_budget)
-    rows = []
-    for n in range(2, n_max + 1):
-        t = Triple(a, b, n)
-        try:
-            rep = analyze(t, effort)
-        except IncompleteFactorizationError as err:
-            rep = err.report
-        rows.append(_row_from_report(rep))
-    return rows
+def _scan_pair(job: tuple[int, int, int, Effort]) -> list[dict]:
+    a, b, n_max, effort = job
+    return [
+        _row_from_report(analyze(Triple(a, b, n), effort))
+        for n in range(2, n_max + 1)
+    ]
 
 
 def coprime_pairs(a_max: int) -> list[tuple[int, int]]:
@@ -125,10 +109,7 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[dic
     """
     started = time.monotonic()
     pairs = coprime_pairs(config.a_max)
-    jobs = [
-        (a, b, config.n_max, config.trial_division_bound, config.rho_step_budget)
-        for (a, b) in pairs
-    ]
+    jobs = [(a, b, config.n_max, config.effort) for (a, b) in pairs]
     rows: list[dict] = []
     with contextlib.ExitStack() as stack:
         mapper = map
@@ -169,8 +150,8 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[dic
         "config": {
             "a_max": config.a_max,
             "n_max": config.n_max,
-            "trial_division_bound": config.trial_division_bound,
-            "rho_step_budget": config.rho_step_budget,
+            "trial_division_bound": config.effort.trial_division_bound,
+            "rho_step_budget": config.effort.rho_step_budget,
             "parallelism": config.parallelism,
             "output_format": config.output_format,
         },
@@ -363,22 +344,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise ValueError("analysis needs n >= 2")
         if args.M < 1:
             raise ValueError("M must be a positive integer")
+        effort = Effort(args.trial_bound, args.rho_budget)
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    effort = Effort(args.trial_bound, args.rho_budget)
-    incomplete = False
-    try:
-        rep = analyze(t, effort, args.M)
-    except IncompleteFactorizationError as err:
-        rep = err.report
-        incomplete = True
+    rep = analyze(t, effort, args.M)
     fmt = _default_format(args.format, "text")
     if fmt == "json":
         print(json.dumps(_analyze_payload(rep)))
     else:
         print(_render_analyze_text(rep))
-    if incomplete:
+    if not rep.factorization_complete:
         return EXIT_INCOMPLETE
     return EXIT_OK if rep.has_large else EXIT_EXCEPTION
 
@@ -388,8 +364,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         config = ScanConfig(
             a_max=args.a_max,
             n_max=args.n_max,
-            trial_division_bound=args.trial_bound,
-            rho_step_budget=None if args.rho_budget == 0 else args.rho_budget,
+            effort=Effort(
+                args.trial_bound, None if args.rho_budget == 0 else args.rho_budget
+            ),
             parallelism=args.jobs,
             output_format=_default_format(args.format, "json"),
         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import _index_factors, divisors, gcd, mobius
+from .arith import _index_factors, divisors, euler_phi, gcd, mobius
 
 
 def _check(a: int, b: int, n: int) -> None:
@@ -234,5 +234,5 @@ def bounds_check(n: int, a: int, b: int) -> bool:
     if n < 3:
         raise ValueError("the strict bounds need n >= 3")
     value = eval_homogeneous(n, a, b)
-    deg = cyclotomic_coeffs(n).degree
+    deg = euler_phi(n)
     return (a - b) ** deg < value < (a + b) ** deg

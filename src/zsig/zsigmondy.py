@@ -55,12 +55,6 @@ class ExceptionKind(Enum):
     PAIR_2_1_N10_12_18 = "pair_2_1_n10_12_18"
 
 
-# kinds with no Zsigmondy prime at all, not merely no large one
-_NO_ZSIG_KINDS = frozenset(
-    {ExceptionKind.SUM_POWER_OF_TWO, ExceptionKind.TRIPLE_2_1_6}
-)
-
-
 @dataclass(frozen=True)
 class ExceptionCase:
     kind: ExceptionKind
@@ -124,12 +118,11 @@ class ZsigReport:
 
 
 class IncompleteFactorizationError(Exception):
-    """The factorization budget ran out mid-analysis.
+    """The budget ran out before zsigmondy_primes could list every prime.
 
-    Carries whatever was established: the partial factorization, the
-    order-n primes among the factors found, and (when raised by analyze)
-    a partial report whose has_large comes from the exact
-    factorization-free decision.
+    Carries whatever was established: the partial factorization and the
+    order-n primes among the factors found.  analyze never raises it; its
+    report says factorization_complete=False instead.
     """
 
     def __init__(
@@ -137,12 +130,10 @@ class IncompleteFactorizationError(Exception):
         message: str,
         factorization: Factorization,
         partial_primes: tuple[tuple[int, int], ...],
-        report: "ZsigReport | None" = None,
     ) -> None:
         super().__init__(message)
         self.factorization = factorization
         self.partial_primes = partial_primes
-        self.report = report
 
 
 def _order_equals(q: int, a: int, b: int, n: int) -> bool:
@@ -346,12 +337,11 @@ def analyze(
     is data, not an error: the scanner collects such triples as
     mismatches.
 
-    On budget exhaustion raises IncompleteFactorizationError whose report
-    field carries everything except the complete prime list, with
-    has_large taken from the factorization-free decision (which is exact).
+    A report is returned whether or not the budget lets the value split
+    completely.  When it does not, factorization_complete is False, the
+    prime lists are partial, and has_large comes from the
+    factorization-free decision, which is exact either way.
     """
-    if t.n < 2:
-        raise ValueError("analysis needs n >= 2")
     if multiplier < 1:
         raise ValueError("multiplier must be a positive integer")
     fast = has_large_zsigmondy_fast(t)
@@ -372,7 +362,7 @@ def analyze(
                 raise AssertionError(
                     f"non-large Zsigmondy prime {q} must equal n + 1 with exponent 1"
                 )
-    report = ZsigReport(
+    return ZsigReport(
         triple=t,
         phi_value=value,
         zsig_primes=tuple(zsig),
@@ -385,11 +375,3 @@ def analyze(
         fast=fast,
         large_multiplier=multiplier,
     )
-    if not complete:
-        raise IncompleteFactorizationError(
-            f"budget exhausted splitting the value for {t}",
-            fac,
-            tuple(zsig),
-            report,
-        )
-    return report

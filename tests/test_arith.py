@@ -189,6 +189,7 @@ class TestFactorize:
         f = factorize(p * q, Effort(trial_division_bound=1 << 25))
         assert f.complete
         assert f.as_dict() == {p: 1, q: 1}
+        assert len(arith._sieve_flags) <= arith._SIEVE_CAP + 1
 
     @given(st.integers(1, 10**12))
     @settings(max_examples=60, deadline=None)
@@ -229,12 +230,12 @@ class TestFactorize:
 
 class TestIndexFactors:
     def test_trial_division_stops_at_sqrt(self, monkeypatch):
-        # 22 has the prime factor 11, yet factoring it as an index needs
-        # no sieve beyond the smallest one
+        # 22 has the prime factor 11, yet factoring it as an index sieves
+        # only the primes to 7 that trial division always tries
         monkeypatch.setattr(arith, "_sieve_flags", bytearray())
         monkeypatch.setattr(arith, "_sieve_primes", [])
         assert arith._index_factors.__wrapped__(22) == ((2, 1), (11, 1))
-        assert len(arith._sieve_flags) <= (1 << 16) + 1
+        assert len(arith._sieve_flags) <= 8
 
 
 class TestFactorizationInvariants:

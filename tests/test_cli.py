@@ -128,6 +128,19 @@ class TestAnalyze:
         assert payload["factors"] == [[7, 1]]
         assert payload["fast"]["has_large"] is False
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--trial-bound", "trial bound must be nonnegative"),
+            ("--rho-budget", "rho budget must be nonnegative"),
+        ],
+    )
+    def test_negative_budget_exit_three(self, capsys, flag, message):
+        code, out, err = run(capsys, "analyze", "3", "1", "5", flag, "-1")
+        assert code == 3
+        assert out == ""
+        assert err == f"invalid input: {message}\n"
+
     def test_incomplete_json_carries_partial(self, capsys):
         code, out, _ = run(
             capsys,
@@ -288,6 +301,22 @@ class TestScan:
     def test_rejects_tiny_range(self, capsys):
         code, _, _ = run(capsys, "scan", "--a-max", "1", "--n-max", "5")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--trial-bound", "-1", "trial bound must be nonnegative"),
+            ("--rho-budget", "-1", "rho budget must be nonnegative"),
+            ("--jobs", "0", "parallelism must be at least 1"),
+        ],
+    )
+    def test_rejects_bad_settings(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "scan", "--a-max", "3", "--n-max", "4", flag, value
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"invalid input: {message}\n"
 
     def test_incomplete_exit_two(self, capsys):
         # (5,4,5) evaluates to 2101 = 11 * 191: invisible to trial

@@ -348,11 +348,9 @@ class TestAnalyze:
     def test_incomplete_carries_fast_answer(self):
         t = Triple(13, 4, 31)
         tiny = Effort(trial_division_bound=1_000, rho_step_budget=100)
-        with pytest.raises(IncompleteFactorizationError) as exc:
-            analyze(t, tiny)
-        rep = exc.value.report
-        assert rep is not None
+        rep = analyze(t, tiny)
         assert not rep.factorization_complete
+        assert rep.phi_factors.cofactor > 1
         assert rep.fast.has_large
         assert rep.has_large  # taken from the fast decision
         assert rep.phi_value == eval_homogeneous(31, 13, 4)
