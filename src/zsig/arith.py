@@ -64,21 +64,16 @@ _SMALL_PRIME_SET = frozenset(_MR_BASES_40)
 
 
 def is_prime(x: int) -> bool:
-    """Deterministic Miller-Rabin below MR_DETERMINISTIC_LIMIT; above it,
-    the fixed forty-base witness schedule (see module comments)."""
+    """Deterministic Miller-Rabin below MR_DETERMINISTIC_LIMIT, small
+    inputs included: the thirteen bases are proven for every x below it.
+    Above it, the fixed forty-base witness schedule (see module comments).
+    """
     if x < 2:
         return False
     if x in _SMALL_PRIME_SET:
         return True
     if x % 2 == 0 or x % 3 == 0 or x % 5 == 0:
         return False
-    if x < 179 * 179:
-        d = 7
-        while d * d <= x:
-            if x % d == 0:
-                return False
-            d += 2
-        return True
     bases = _MR_BASES_13 if x < MR_DETERMINISTIC_LIMIT else _MR_BASES_40
     n = mpz(x)
     d = n - 1

@@ -9,47 +9,12 @@ against direct factorization are a genuine cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import factorize, is_prime, vp
 from .cyclotomic import Triple
 
 
 class LtePreconditionError(ValueError):
     """The lifting-the-exponent hypotheses do not hold for these inputs."""
-
-
-@dataclass(frozen=True)
-class OrderContext:
-    """A prime p together with the multiplicative order k of a * b^(-1).
-
-    k is the least positive integer with p dividing a**k - b**k; it always
-    divides p - 1.
-    """
-
-    p: int
-    a: int
-    b: int
-    k: int
-
-    def __post_init__(self) -> None:
-        p, a, b, k = self.p, self.a, self.b, self.k
-        if not is_prime(p):
-            raise ValueError("p must be prime")
-        if a % p == 0 or b % p == 0:
-            raise ValueError("p must not divide a or b")
-        if k < 1 or (p - 1) % k != 0:
-            raise ValueError("order must divide p - 1")
-        x = a * pow(b, p - 2, p) % p
-        if pow(x, k, p) != 1:
-            raise ValueError("k is not a multiple of the order")
-        for q in _prime_divisors(k):
-            if pow(x, k // q, p) == 1:
-                raise ValueError("k is not minimal")
-
-
-def _prime_divisors(n: int) -> list[int]:
-    return [p for p, _ in factorize(n).factors]
 
 
 def multiplicative_order(p: int, a: int, b: int) -> int:
@@ -64,14 +29,10 @@ def multiplicative_order(p: int, a: int, b: int) -> int:
         raise ValueError("p divides a*b, order undefined")
     x = a * pow(b, p - 2, p) % p
     k = p - 1
-    for q in _prime_divisors(p - 1):
+    for q, _ in factorize(p - 1).factors:
         while k % q == 0 and pow(x, k // q, p) == 1:
             k //= q
     return k
-
-
-def order_context(p: int, a: int, b: int) -> OrderContext:
-    return OrderContext(p, a, b, multiplicative_order(p, a, b))
 
 
 def lte_valuation(p: int, x: int, y: int, m: int) -> int:
@@ -103,28 +64,23 @@ def vp_cyclotomic(p: int, a: int, b: int, n: int) -> int:
     """Valuation of the homogeneous cyclotomic value at (a, b), index n,
     from the closed form; the value itself is never computed.
 
-    Odd p with order k: the valuation is v_p(a**k - b**k) when n == k,
-    exactly 1 when n is k times a positive power of p, and 0 otherwise.
-    For p = 2 and odd a, b: v_2(a - b) at n = 1, v_2(a + b) at n = 2,
-    exactly 1 when n is a power of two at least 4, else 0.  When exactly
-    one of a, b is even every value is odd, so the p = 2 case extends
-    totally with 0 (a documented extension of the odd-odd closed form).
+    With k the order of a * b^(-1) mod p: the valuation is v_p(a**k - b**k)
+    when n == k, exactly 1 when n is k times a positive power of p, and 0
+    otherwise.  p = 2 with odd a, b runs the same formula (k is 1 there)
+    except at the one exceptional pair of lifting the exponent, n = 2,
+    where it is v_2(a + b).  When exactly one of a, b is even every value
+    is odd, so the p = 2 case extends totally with 0 (a documented
+    extension of the odd-odd closed form).
     """
     Triple(a, b, n)
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if p == 2:
-        if a % 2 == 0 or b % 2 == 0:
-            return 0
-        if n == 1:
-            return vp(a - b, 2)
-        if n == 2:
-            return vp(a + b, 2)
-        if n & (n - 1) == 0:  # n a power of two, here >= 4
-            return 1
+    if p == 2 and a * b % 2 == 0:
         return 0
     if a % p == 0 or b % p == 0:
         raise ValueError("odd p must not divide a*b")
+    if p == 2 and n == 2:
+        return vp(a + b, 2)
     k = multiplicative_order(p, a, b)
     if n == k:
         return vp(a**k - b**k, p)

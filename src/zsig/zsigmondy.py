@@ -248,36 +248,28 @@ def has_large_zsigmondy_fast(t: Triple) -> FastDecision:
     """Factorization-free existence decision for a large Zsigmondy prime.
 
     Remove the one possible non-Zsigmondy prime from the cyclotomic value
-    C: at n = 2 every factor 2 of a + b; for n >= 3 a single factor of the
-    largest prime P(n) dividing n (when present), which is 2 when n is a
-    power of two.  What remains is a product of primes of order exactly
-    n, each congruent to 1 mod n and hence at least n + 1.  So: residual
-    1 means no Zsigmondy prime, residual n + 1 means exactly one and it is
-    not large, and residual > n + 1 forces either a prime above n + 1 or a
-    repeated prime, either of which is large.
+    C: every factor of the largest prime P(n) dividing n.  That is a
+    single factor for n >= 3 (when present) and v_2(a + b) factors at
+    n = 2, where P(n) = 2.  What remains is a product of primes of order
+    exactly n, each congruent to 1 mod n and hence at least n + 1.  So:
+    residual 1 means no Zsigmondy prime, residual n + 1 means exactly one
+    and it is not large, and residual > n + 1 forces either a prime above
+    n + 1 or a repeated prime, either of which is large.
     """
     a, b, n = t.a, t.b, t.n
     if n < 2:
         raise ValueError("the decision needs n >= 2")
     value = eval_homogeneous(n, a, b)
-    removed_prime: int | None = None
+    p = largest_prime_divisor(n)
     removed_exp = 0
     residual = value
-    if n == 2:
-        while residual % 2 == 0:
-            residual //= 2
-            removed_exp += 1
-        if removed_exp:
-            removed_prime = 2
-    else:
-        p = largest_prime_divisor(n)
-        if residual % p == 0:
-            residual //= p
-            removed_prime, removed_exp = p, 1
+    while residual % p == 0:
+        residual //= p
+        removed_exp += 1
     return FastDecision(
         has_large=residual > n + 1,
         phi_value=value,
-        removed_prime=removed_prime,
+        removed_prime=p if removed_exp else None,
         removed_exponent=removed_exp,
         residual=residual,
         threshold=n + 1,
@@ -355,13 +347,9 @@ def analyze(
             raise AssertionError(
                 f"factored and factorization-free decisions disagree on {t}"
             )
-        for q, e in zsig:
+        for q, _ in zsig:
             if value % q != 0 or q % t.n != 1:
                 raise AssertionError(f"order-{t.n} prime {q} violates its invariants")
-            if multiplier == 1 and q not in large and (q != t.n + 1 or e != 1):
-                raise AssertionError(
-                    f"non-large Zsigmondy prime {q} must equal n + 1 with exponent 1"
-                )
     return ZsigReport(
         triple=t,
         phi_value=value,

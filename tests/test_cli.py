@@ -141,6 +141,12 @@ class TestAnalyze:
         assert out == ""
         assert err == f"invalid input: {message}\n"
 
+    def test_nonpositive_multiplier_exit_three(self, capsys):
+        code, out, err = run(capsys, "analyze", "4", "3", "2", "--M", "0")
+        assert code == 3
+        assert out == ""
+        assert err == "invalid input: M must be a positive integer\n"
+
     def test_incomplete_json_carries_partial(self, capsys):
         code, out, _ = run(
             capsys,

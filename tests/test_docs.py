@@ -1,11 +1,14 @@
 """README's figures about the reference scan, rebuilt from the committed
-record `reference_scan.json` and looked up in README.md, and README's CLI
-examples run through the CLI."""
+record `reference_scan.json` and looked up in README.md, README's CLI
+examples run through the CLI, and README's Library block run through the
+library."""
 
+import ast
 import json
 import re
 import shlex
 from collections import Counter
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,31 @@ def test_readme_cli_values(capsys, argv, shown):
 def test_readme_cli_examples_found():
     assert [argv[0] for argv, _ in EXIT_EXAMPLES] == ["analyze"] * 3
     assert [argv[0] for argv, _ in VALUE_EXAMPLES] == ["coeffs", "eval"]
+
+
+def _library_block():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1]
+    return block.split("```", 1)[0]
+
+
+def test_readme_library_values():
+    """Run the Library block statement by statement; every expression
+    whose line ends in `# value (note)` must show that value: its repr,
+    or for an enum member its name as written in code."""
+    block = _library_block()
+    lines = block.splitlines()
+    scope: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        comment = lines[stmt.lineno - 1].partition("#")[2].strip()
+        if not (isinstance(stmt, ast.Expr) and comment):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
+        shown = str(value) if isinstance(value, Enum) else repr(value)
+        token = re.split(r"\s+\(", comment, maxsplit=1)[0]
+        checked.append((ast.unparse(stmt), token, shown))
+    assert len(checked) == 6
+    for source, token, shown in checked:
+        assert token == shown, source

@@ -6,10 +6,8 @@ from zsig.arith import divisors, vp
 from zsig.cyclotomic import eval_homogeneous
 from zsig.valuation import (
     LtePreconditionError,
-    OrderContext,
     lte_valuation,
     multiplicative_order,
-    order_context,
     vp_cyclotomic,
 )
 from oracles import order_brute
@@ -47,22 +45,6 @@ class TestMultiplicativeOrder:
             multiplicative_order(3, 6, 1)
         with pytest.raises(ValueError):
             multiplicative_order(5, 7, 5)
-
-
-class TestOrderContext:
-    def test_builder(self):
-        ctx = order_context(7, 2, 1)
-        assert isinstance(ctx, OrderContext)
-        assert (ctx.p, ctx.a, ctx.b, ctx.k) == (7, 2, 1, 3)
-
-    def test_rejects_non_order(self):
-        # k = 6 satisfies a^k == b^k mod 7 but is not minimal.
-        with pytest.raises(ValueError):
-            OrderContext(p=7, a=2, b=1, k=6)
-        with pytest.raises(ValueError):
-            OrderContext(p=7, a=2, b=1, k=2)
-        with pytest.raises(ValueError):
-            OrderContext(p=7, a=2, b=1, k=5)
 
 
 class TestLte:

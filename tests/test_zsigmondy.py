@@ -243,6 +243,20 @@ class TestDecisionSweep:
         }
         assert predicted == self.TABLE
 
+    def test_one_removal_of_the_largest_prime(self):
+        # the lemma behind the single removal loop: P(n) divides the value
+        # at most once for n >= 3, and at n = 2 the residual is the odd
+        # part of a + b
+        for a, b in _coprime_pairs(40):
+            for n in range(2, 61):
+                d = has_large_zsigmondy_fast(Triple(a, b, n))
+                removed = d.removed_prime**d.removed_exponent if d.removed_prime else 1
+                assert d.phi_value == d.residual * removed
+                if n >= 3:
+                    assert d.removed_exponent <= 1
+                else:
+                    assert d.residual == (a + b) >> vp(a + b, 2)
+
     def test_feit_b_equals_one(self):
         triples = [Triple(a, 1, n) for a in range(2, 401) for n in range(3, 61)]
         feit = {(2, 4), (2, 6), (2, 10), (2, 12), (2, 18), (3, 4), (3, 6), (5, 6)}
@@ -344,6 +358,10 @@ class TestAnalyze:
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
             analyze(Triple(2, 1, 1))
+
+    def test_rejects_nonpositive_multiplier(self):
+        with pytest.raises(ValueError, match="multiplier must be a positive integer"):
+            analyze(Triple(4, 3, 2), multiplier=0)
 
     def test_incomplete_carries_fast_answer(self):
         t = Triple(13, 4, 31)
