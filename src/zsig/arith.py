@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,7 +98,8 @@ def is_prime(x: int) -> bool:
 _sieve_flags = bytearray()
 _sieve_primes: list[int] = []
 
-# trial division sieves at most this far; beyond it rho does the splitting
+# trial division stops here, and so does the sieve; beyond it rho does
+# the splitting
 _SIEVE_CAP = 1 << 24
 
 
@@ -113,7 +115,7 @@ def _primes_up_to(bound: int) -> list[int]:
             if flags[i]:
                 flags[i * i :: i] = bytearray(len(range(i * i, size, i)))
         _sieve_flags = flags
-        _sieve_primes = [i for i, f in enumerate(flags) if f]
+        _sieve_primes = list(itertools.compress(range(size), flags))
     if _sieve_primes and _sieve_primes[-1] <= bound:
         return _sieve_primes
     cut = bisect.bisect_right(_sieve_primes, bound)
@@ -124,12 +126,14 @@ def _primes_up_to(bound: int) -> list[int]:
 class Effort:
     """Budget for factorize: trial division first, then Pollard rho.
 
-    Trial division always tries the primes up to 7 and stops at 2**24
-    even when trial_division_bound is larger; rho splits whatever is left
-    above that.  Index facts trial-divide to sqrt(n), which factors an
-    index completely.  rho_step_budget counts iterations of the rho map
-    across the whole recursive factorization of one input; None means
-    unbounded.
+    Trial division always reaches 7 and stops at 2**24 even when
+    trial_division_bound is larger; rho splits whatever is left above
+    that.  It also stops at the square root of what is left, so the sieve
+    is built no further than sqrt(x).  A cyclotomic value is divided only
+    by the integers that can hold its primes (see zsigmondy._zsig_core),
+    so no sieve is built for it.  rho_step_budget counts iterations of
+    the rho map across the whole recursive factorization of one input;
+    None means unbounded.
     """
 
     trial_division_bound: int = 1_000_000
@@ -205,11 +209,11 @@ def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:
         x = ys = y
         while g == 1:
             x = y
+            if budget is not None and used + r > budget:
+                return None, used + r
             for _ in range(r):
                 y = (y * y + c) % n
             used += r
-            if budget is not None and used > budget:
-                return None, used
             k = 0
             while k < r and g == 1:
                 ys = y
@@ -250,6 +254,13 @@ def _split_perfect_power(x: int) -> tuple[int, int]:
     return x, 1
 
 
+def _trial_limit(effort: Effort | None) -> int:
+    """How far trial division goes under effort: at least 7, at most
+    the cap."""
+    bound = (effort or Effort()).trial_division_bound
+    return min(max(bound, 7), _SIEVE_CAP)
+
+
 def factorize(x: int, effort: Effort | None = None) -> Factorization:
     """Factor x by trial division up to the effort bound, then Pollard rho.
 
@@ -259,14 +270,24 @@ def factorize(x: int, effort: Effort | None = None) -> Factorization:
     """
     if x < 1:
         raise ValueError("factorize expects a positive integer")
-    if x == 1:
-        return Factorization(1, ())
+    # trial division breaks past sqrt(x) anyway, so sieve no further
+    return _factor(x, effort, _primes_up_to(min(_trial_limit(effort), math.isqrt(x))))
+
+
+def _trial_divide(x: int, divisors) -> tuple[dict[int, int], int]:
+    """Divide x by each divisor in turn, as often as it goes in; returns
+    ({divisor: exponent}, what is left).  Stops once a divisor's square
+    exceeds what is left.
+
+    The divisors must ascend and include every prime of x below the last
+    one.  A composite among them then never goes in, since its primes
+    that divide x were divided out before it, so callers may pass a
+    progression that holds all the primes x can have.  What is left at a
+    stop is 1 or a prime.
+    """
     found: dict[int, int] = {}
     rem = x
-    bound = effort.trial_division_bound if effort else Effort().trial_division_bound
-    # the primes to 7 are always tried; past sqrt(rem) what is left is 1
-    # or a prime, which the rho stage records without spending a step
-    for p in _primes_up_to(max(bound, 7)):
+    for p in divisors:
         if p * p > rem:
             break
         if rem % p == 0:
@@ -275,8 +296,19 @@ def factorize(x: int, effort: Effort | None = None) -> Factorization:
                 e += 1
                 rem //= p
             found[p] = e
+    return found, rem
+
+
+def _factor(x: int, effort: Effort | None, divisors) -> Factorization:
+    """factorize's body over a given trial-division source: _trial_divide
+    by the divisors, then rho on what is left.  When the divisors hold
+    every prime of x up to the trial limit and run no further, rho gets
+    what factorize would give it, so the result is factorize's."""
+    found, rem = _trial_divide(x, divisors)
     cofactor = 1
     if rem > 1:
+        # past sqrt(rem) what is left is 1 or a prime, which this stage
+        # records without spending a step
         budget = effort.rho_step_budget if effort else None
         spent = 0
         stack = [rem]
@@ -308,11 +340,11 @@ def _index_factors(n: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs of a positive index n, primes ascending.
 
     The one place an index is factored: every triple asks for the same
-    few indices again, so the pairs are cached.  Trial division to
-    sqrt(n) factors n completely, so the sieve grows no further than
-    that needs.
+    few indices again, so the pairs are cached.  factorize sieves no
+    further than sqrt(n), which is all trial division needs to factor n
+    completely.
     """
-    return factorize(n, Effort(math.isqrt(n))).factors
+    return factorize(n).factors
 
 
 def vp(x: int, p: int) -> int:

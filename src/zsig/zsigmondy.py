@@ -12,11 +12,13 @@ is what makes the factorization-free existence decision possible.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .arith import Effort, Factorization, factorize, is_prime, largest_prime_divisor, vp
-from .arith import _index_factors
+from .arith import _factor, _index_factors, _trial_divide, _trial_limit
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
 from .valuation import multiplicative_order, vp_cyclotomic
 
@@ -175,11 +177,23 @@ def _zsig_core(
 ) -> tuple[Factorization, list[tuple[int, int]]]:
     """Factor the cyclotomic value of t and keep the primes of order n.
 
-    Besides order-n primes the value can hold only 2 and the largest
-    prime of n; trial division finds them when its bound reaches them,
-    rho splits them off otherwise.
+    For n >= 2 a prime of the value is either P(n), the largest prime of
+    n, or of order n, hence odd and 1 mod n.  So trial division tries
+    P(n) and then only 1 + k * lcm(2, n), and no sieve is built; this
+    gives factorize's result, because the composites in the progression
+    never divide and every prime the value can have below the trial limit
+    is tried.  At n = 1 the value a - b can hold any prime.
     """
-    fac = factorize(value, effort)
+    if t.n == 1:
+        fac = factorize(value, effort)
+    else:
+        limit = _trial_limit(effort)
+        p = largest_prime_divisor(t.n)
+        step = math.lcm(2, t.n)
+        divisors = range(1 + step, limit + 1, step)
+        if p <= limit:
+            divisors = itertools.chain((p,), divisors)
+        fac = _factor(value, effort, divisors)
     zsig = [
         (q, e) for q, e in fac.factors if _order_equals(q, t.a, t.b, t.n)
     ]
@@ -191,6 +205,23 @@ def _large(
 ) -> tuple[int, ...]:
     # large: squared in a**n - b**n, or beyond multiplier * n + 1
     return tuple(q for q, e in zsig if e >= 2 or q > multiplier * n + 1)
+
+
+def _has_m_large(fast: FastDecision, n: int, multiplier: int) -> bool:
+    """Whether a prime squared in a**n - b**n or beyond multiplier * n + 1
+    exists, from the fast decision's residual alone.
+
+    Every prime of the residual has order n, so it is 1 mod lcm(2, n).
+    Trial division by that progression up to multiplier * n + 1 finds the
+    small primes; a large one exists exactly when one of those goes in
+    twice or what is left exceeds the bound.  At multiplier 1 this is
+    fast.has_large.
+    """
+    bound = multiplier * n + 1
+    step = math.lcm(2, n)
+    found, rem = _trial_divide(fast.residual, range(1 + step, bound + 1, step))
+    # what is left is 1, a prime, or a product of primes beyond the bound
+    return rem > bound or any(e > 1 for e in found.values())
 
 
 def large_zsigmondy_primes(
@@ -330,9 +361,10 @@ def analyze(
     mismatches.
 
     A report is returned whether or not the budget lets the value split
-    completely.  When it does not, factorization_complete is False, the
-    prime lists are partial, and has_large comes from the
-    factorization-free decision, which is exact either way.
+    completely.  When it does not, factorization_complete is False and
+    the prime lists are partial.  has_large comes from the
+    factorization-free test at the report's multiplier (_has_m_large),
+    which is exact either way.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be a positive integer")
@@ -341,9 +373,10 @@ def analyze(
     value = fast.phi_value
     fac, zsig = _zsig_core(t, value, effort)
     large = _large(zsig, t.n, multiplier)
+    has_large = _has_m_large(fast, t.n, multiplier)
     complete = fac.complete
     if complete:
-        if multiplier == 1 and bool(large) != fast.has_large:
+        if bool(large) != has_large:
             raise AssertionError(
                 f"factored and factorization-free decisions disagree on {t}"
             )
@@ -356,7 +389,7 @@ def analyze(
         zsig_primes=tuple(zsig),
         large_zsig_primes=large,
         has_zsigmondy=bool(zsig) or (not complete and fast.residual > 1),
-        has_large=bool(large) if complete else fast.has_large,
+        has_large=has_large,
         exception=exception,
         factorization_complete=complete,
         phi_factors=fac,

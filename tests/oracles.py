@@ -160,3 +160,46 @@ def brute_zsigmondy(a: int, b: int, n: int):
         zsig.append((p, fac[p]))
     large = [p for p, e in zsig if e >= 2 or p > n + 1]
     return zsig, large
+
+
+def brent_rho_reference(n: int, budget: int | None) -> tuple[int | None, int]:
+    """The package's Brent rho as it was before its phase-1 budget check
+    moved ahead of the walk: it runs the r map steps first and only then
+    sees the budget is spent.  Kept to pin the (factor, steps) pairs."""
+    used = 0
+    for c in range(1, 64):
+        y = 2
+        m = 512
+        g = q = r = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            used += r
+            if budget is not None and used > budget:
+                return None, used
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(m, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                used += steps
+                g = _gcd(q, n)
+                k += m
+                if budget is not None and used > budget:
+                    return None, used
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                used += 1
+                g = _gcd(abs(x - ys), n)
+                if budget is not None and used > budget:
+                    return None, used
+        if g != n:
+            return g, used
+    return None, used

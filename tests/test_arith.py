@@ -15,7 +15,7 @@ from zsig.arith import (
     totient_sieve,
     vp,
 )
-from oracles import factor_oracle, is_prime_oracle, vp_oracle
+from oracles import brent_rho_reference, factor_oracle, is_prime_oracle, vp_oracle
 
 
 class TestGcd:
@@ -228,6 +228,28 @@ class TestFactorize:
         assert factorize(2**64).as_dict() == {2: 64}
         assert factorize((10**9 + 7) ** 2).as_dict() == {10**9 + 7: 2}
         assert factorize(6**12).as_dict() == {2: 12, 3: 12}
+
+
+class TestBrentRho:
+    def test_matches_reference_loop(self):
+        # the budget runs out in phase 1 (r map steps with no gcd), in
+        # phase 2 (gcd batches of up to 512 steps) or not at all; 143 also
+        # backtracks and moves on to a second polynomial
+        cases = {35: range(20), 143: range(40), 1000003 * 1000033: range(1030)}
+        budgets = set(range(64))
+        r = 1
+        while r <= 4096:
+            # phase 1 at r ends after 3r - 2 steps in all, phase 2 after 4r - 2
+            for end in (3 * r - 2, 4 * r - 2):
+                budgets.update((end - 1, end, end + 1))
+            r *= 2
+        # phase 2 at r = 2048 in its 512-step batches
+        budgets.update(3 * 2048 - 2 + 512 * k + j for k in range(4) for j in (-1, 0, 1))
+        cases[10000141 * 100000007] = sorted(budgets)
+        for n, budgets in cases.items():
+            _, steps = brent_rho_reference(n, None)
+            for budget in [*budgets, steps - 1, steps, None]:
+                assert arith._brent_rho(n, budget) == brent_rho_reference(n, budget), (n, budget)
 
 
 class TestIndexFactors:

@@ -116,6 +116,18 @@ class TestAnalyze:
         assert code == 1  # 7 is not beyond 3*2+1
         assert "MISMATCH" not in out
 
+    def test_incomplete_multiplier_verdict(self, capsys):
+        # 703 = 19 * 37 stays unsplit, yet no prime beyond 2 * 18 + 1 exists
+        code, out, _ = run(
+            capsys,
+            "analyze", "3", "1", "18", "--M", "2",
+            "--trial-bound", "7", "--rho-budget", "0", "--format", "json",
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["cofactor"] == 703
+        assert payload["has_large"] is False
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "analyze", "3", "1", "6", "--format", "json")
         assert code == 1

@@ -3,8 +3,10 @@ from math import gcd as _gcd
 
 import pytest
 
-from zsig.arith import Effort, vp
+from zsig import arith
+from zsig.arith import Effort, factorize, vp
 from zsig.cyclotomic import Triple, eval_homogeneous
+from zsig.valuation import multiplicative_order
 from zsig.zsigmondy import (
     DivisorCase,
     ExceptionKind,
@@ -16,6 +18,7 @@ from zsig.zsigmondy import (
     large_zsigmondy_primes,
     sufficiency_check,
     zsigmondy_primes,
+    _zsig_core,
 )
 from oracles import brute_zsigmondy
 
@@ -47,6 +50,29 @@ class TestZsigmondyPrimes:
         assert not err.factorization.complete
         assert err.factorization.cofactor > 1
         assert isinstance(err.partial_primes, tuple)
+
+
+class TestPhiTrialDivision:
+    def test_matches_generic_factorize(self):
+        # P(n) and then 1 + k * lcm(2, n) give factorize's factors and
+        # cofactor whatever the trial bound and rho budget
+        efforts = [Effort(tb, rb) for tb in [*range(13), 2000] for rb in (0, 50, None)]
+        for a, b in _coprime_pairs(7):
+            for n in (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 21, 25, 32):
+                value = eval_homogeneous(n, a, b)
+                for effort in efforts:
+                    fac, _ = _zsig_core(Triple(a, b, n), value, effort)
+                    assert fac == factorize(value, effort), (a, b, n, effort)
+
+    def test_analyze_builds_no_value_sieve(self, monkeypatch):
+        # the generic path would sieve to the 10**6 trial bound; only the
+        # perfect-power check and p - 1 = 28 ask the sieve for primes now
+        monkeypatch.setattr(arith, "_sieve_flags", bytearray())
+        monkeypatch.setattr(arith, "_sieve_primes", [])
+        rep = analyze(Triple(3, 2, 29), Effort())
+        assert rep.factorization_complete
+        assert multiplicative_order(29, 30, 1) == 1
+        assert len(arith._sieve_flags) <= 1024
 
 
 class TestBruteForceEquivalence:
@@ -372,6 +398,23 @@ class TestAnalyze:
         assert rep.fast.has_large
         assert rep.has_large  # taken from the fast decision
         assert rep.phi_value == eval_homogeneous(31, 13, 4)
+
+    def test_incomplete_multiplier_verdict(self):
+        # Phi_18(3, 1) = 703 = 19 * 37 is left whole, yet no prime beyond
+        # 2 * 18 + 1 divides it
+        rep = analyze(Triple(3, 1, 18), Effort(7, 0), multiplier=2)
+        assert not rep.factorization_complete
+        assert rep.phi_factors.cofactor == 703
+        assert not rep.has_large
+        assert rep.fast.has_large
+
+    def test_incomplete_multiplier_matches_complete(self):
+        for a, b in _coprime_pairs(9):
+            for n in range(2, 21):
+                t = Triple(a, b, n)
+                for m in (1, 2, 3, 5):
+                    cut = analyze(t, Effort(0, 0), m)
+                    assert cut.has_large == analyze(t, Effort(), m).has_large, (t, m)
 
     def test_multiplier_changes_large_notion(self):
         rep = analyze(Triple(4, 3, 2), multiplier=3)
