@@ -9,6 +9,7 @@ through its own identity:
 - eval_homogeneous: the divisor product
   Phi_n(a, b) = prod over d | rad(n) of (a**(n/d) - b**(n/d))**mu(d),
   with the exponents n/d split by the sign of mu(d) and cached per index;
+  callers that have validated once use the unchecked _eval_homogeneous;
 - eval_mobius: the same product taken from the definition, walking every
   divisor of n and its Moebius value on each call, with no cache;
 - eval_recursive: index reduction, Phi_{n}(a, b) = Phi_{rad n}(a**s, b**s)
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arith import _index_factors, divisors, euler_phi, gcd, mobius
+from .arith import _index_factors, divisors, euler_phi, mobius
 
 
 def _check(a: int, b: int, n: int) -> None:
@@ -33,22 +35,26 @@ def _check(a: int, b: int, n: int) -> None:
         raise ValueError("b must be at least 1")
     if a <= b:
         raise ValueError("a must exceed b")
-    if gcd(a, b) != 1:
+    if math.gcd(a, b) != 1:
         raise ValueError("a and b must be coprime")
     if n < 1:
         raise ValueError("n must be at least 1")
 
 
-@dataclass(frozen=True)
-class Triple:
-    """A validated input (a, b, n): coprime, ordered, positive."""
+class Triple(NamedTuple("_TripleFields", [("a", int), ("b", int), ("n", int)])):
+    """A validated input (a, b, n): coprime, ordered, positive.  A tuple
+    record; the constructor, _make, _replace, copy and unpickling all
+    run _check."""
 
-    a: int
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check(self.a, self.b, self.n)
+    def __new__(cls, a: int, b: int, n: int) -> Triple:
+        _check(a, b, n)
+        return tuple.__new__(cls, (a, b, n))
+
+    @classmethod
+    def _make(cls, iterable) -> Triple:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,11 @@ def eval_homogeneous(n: int, a: int, b: int) -> int:
     (a**e - b**e) over the cached Moebius exponent split of n, with one
     exact division at the end."""
     _check(a, b, n)
+    return _eval_homogeneous(n, a, b)
+
+
+def _eval_homogeneous(n: int, a: int, b: int) -> int:
+    # eval_homogeneous without validation, for arguments already checked
     plus, minus = _mobius_split(n)
     num = 1
     for e in plus:
@@ -224,7 +235,7 @@ def product_identity_check(n: int, a: int, b: int) -> bool:
     _check(a, b, n)
     prod = 1
     for d in divisors(n):
-        prod *= eval_homogeneous(d, a, b)
+        prod *= _eval_homogeneous(d, a, b)
     return prod == a**n - b**n
 
 
@@ -233,6 +244,6 @@ def bounds_check(n: int, a: int, b: int) -> bool:
     _check(a, b, n)
     if n < 3:
         raise ValueError("the strict bounds need n >= 3")
-    value = eval_homogeneous(n, a, b)
+    value = _eval_homogeneous(n, a, b)
     deg = euler_phi(n)
     return (a - b) ** deg < value < (a + b) ** deg

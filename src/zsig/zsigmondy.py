@@ -16,10 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .arith import Effort, Factorization, factorize, is_prime, largest_prime_divisor, vp
 from .arith import _factor, _index_factors, _trial_divide, _trial_limit
-from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
+from .cyclotomic import Triple, _eval_homogeneous, cyclotomic_coeffs
 from .valuation import multiplicative_order, vp_cyclotomic
 
 
@@ -83,8 +84,7 @@ class ExceptionCase:
 _NO_EXCEPTION = ExceptionCase(ExceptionKind.NONE)
 
 
-@dataclass(frozen=True)
-class FastDecision:
+class FastDecision(NamedTuple):
     """Existence decision with the arithmetic that produced it.
 
     residual is the cyclotomic value after removing the one possible
@@ -162,7 +162,7 @@ def zsigmondy_primes(
     Raises IncompleteFactorizationError when the budget is exhausted
     before the value splits completely.
     """
-    fac, zsig = _zsig_core(t, eval_homogeneous(t.n, t.a, t.b), effort)
+    fac, zsig = _zsig_core(t, _eval_homogeneous(t.n, t.a, t.b), effort)
     if not fac.complete:
         raise IncompleteFactorizationError(
             f"budget exhausted with composite cofactor of {fac.cofactor.bit_length()} bits",
@@ -290,7 +290,7 @@ def has_large_zsigmondy_fast(t: Triple) -> FastDecision:
     a, b, n = t.a, t.b, t.n
     if n < 2:
         raise ValueError("the decision needs n >= 2")
-    value = eval_homogeneous(n, a, b)
+    value = _eval_homogeneous(n, a, b)
     p = largest_prime_divisor(n)
     removed_exp = 0
     residual = value
@@ -312,7 +312,7 @@ def sufficiency_check(t: Triple) -> bool:
     prime to exist.  One-directional: failure decides nothing."""
     if t.n < 3:
         raise ValueError("the sufficiency bound needs n >= 3")
-    value = eval_homogeneous(t.n, t.a, t.b)
+    value = _eval_homogeneous(t.n, t.a, t.b)
     return (t.n + 1) * largest_prime_divisor(t.n) < value
 
 

@@ -159,6 +159,23 @@ class TestAnalyze:
         assert out == ""
         assert err == "invalid input: M must be a positive integer\n"
 
+    @pytest.mark.parametrize(
+        "triple,fast",
+        [
+            ((5, 1, 2), {"has_large": False, "removed_prime": 2,
+                         "removed_exponent": 1, "residual": 3, "threshold": 3}),
+            ((3, 2, 10), {"has_large": False, "removed_prime": 5,
+                          "removed_exponent": 1, "residual": 11, "threshold": 11}),
+            ((30, 1, 29), {"has_large": True, "removed_prime": 29,
+                           "removed_exponent": 1,
+                           "residual": 8160568057655529131985731272294887039239,
+                           "threshold": 30}),
+        ],
+    )
+    def test_json_fast_object(self, capsys, triple, fast):
+        _, out, _ = run(capsys, "analyze", *triple, "--format", "json")
+        assert json.loads(out)["fast"] == fast
+
     def test_incomplete_json_carries_partial(self, capsys):
         code, out, _ = run(
             capsys,

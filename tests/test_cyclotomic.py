@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import gcd as _gcd
 
 import pytest
@@ -105,6 +107,38 @@ class TestTriple:
             Triple(2, 1, 0)
         with pytest.raises(ValueError):
             Triple(-4, 1, 3)
+
+    @pytest.mark.parametrize("bad", [(0, 0, 0), (4, 2, 3), (2, 3, 1)])
+    def test_every_construction_path_validates(self, bad):
+        # a record forged past __new__, to show copy and pickle re-check it
+        forged = tuple.__new__(Triple, bad)
+        paths = [
+            lambda: Triple(*bad),
+            lambda: Triple._make(bad),
+            lambda: Triple(5, 1, 3)._replace(a=bad[0], b=bad[1], n=bad[2]),
+            lambda: pickle.loads(pickle.dumps(forged)),
+            lambda: copy.copy(forged),
+        ]
+        for make in paths:
+            with pytest.raises(ValueError):
+                make()
+
+    def test_valid_paths_round_trip(self):
+        t = Triple(3, 2, 10)
+        assert Triple._make((3, 2, 10)) == t
+        assert t._replace(b=1) == Triple(3, 1, 10)
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert copy.copy(t) == t
+
+    def test_immutable(self):
+        t = Triple(3, 2, 10)
+        with pytest.raises(AttributeError):
+            t.a = 5
+        with pytest.raises(AttributeError):
+            t.extra = 1
+
+    def test_repr(self):
+        assert repr(Triple(3, 2, 10)) == "Triple(a=3, b=2, n=10)"
 
 
 class TestEvaluation:

@@ -3,9 +3,9 @@ from math import gcd as _gcd
 
 import pytest
 
-from zsig import arith
+from zsig import arith, cyclotomic
 from zsig.arith import Effort, factorize, vp
-from zsig.cyclotomic import Triple, eval_homogeneous
+from zsig.cyclotomic import Triple, _eval_homogeneous, eval_homogeneous
 from zsig.valuation import multiplicative_order
 from zsig.zsigmondy import (
     DivisorCase,
@@ -210,6 +210,25 @@ class TestFastDecision:
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
             has_large_zsigmondy_fast(Triple(2, 1, 1))
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        check = cyclotomic._check
+
+        def counted(a, b, n):
+            calls.append((a, b, n))
+            return check(a, b, n)
+
+        monkeypatch.setattr(cyclotomic, "_check", counted)
+        has_large_zsigmondy_fast(Triple(3, 2, 10))
+        assert calls == [(3, 2, 10)]
+
+    def test_immutable(self):
+        d = has_large_zsigmondy_fast(Triple(3, 2, 10))
+        with pytest.raises(AttributeError):
+            d.has_large = True
+        with pytest.raises(AttributeError):
+            d.extra = 1
 
 
 class TestSufficiency:
@@ -428,10 +447,13 @@ class TestAnalyze:
 
         def counted(n, a, b):
             calls.append((n, a, b))
-            return eval_homogeneous(n, a, b)
+            return _eval_homogeneous(n, a, b)
 
-        monkeypatch.setattr("zsig.zsigmondy.eval_homogeneous", counted)
+        monkeypatch.setattr("zsig.zsigmondy._eval_homogeneous", counted)
         analyze(Triple(3, 2, 10))
+        assert calls == [(10, 3, 2)]
+        calls.clear()
+        has_large_zsigmondy_fast(Triple(3, 2, 10))
         assert calls == [(10, 3, 2)]
 
     def test_fast_agrees_with_list_on_small_range(self):
