@@ -127,13 +127,14 @@ class Effort:
     """Budget for factorize: trial division first, then Pollard rho.
 
     Trial division always reaches 7 and stops at 2**24 even when
-    trial_division_bound is larger; rho splits whatever is left above
-    that.  It also stops at the square root of what is left, so the sieve
-    is built no further than sqrt(x).  A cyclotomic value is divided only
-    by the integers that can hold its primes (see zsigmondy._zsig_core),
-    so no sieve is built for it.  rho_step_budget counts iterations of
-    the rho map across the whole recursive factorization of one input;
-    None means unbounded.
+    trial_division_bound is larger; _factor makes that cut, whatever its
+    divisors, and rho splits what is left.  Trial division also stops at
+    the square root of what is left, so the sieve is built no further
+    than sqrt(x).  A cyclotomic value is divided only by the integers
+    that can hold its primes (zsigmondy._phi_divisors), so no sieve is
+    built for it.  rho_step_budget counts iterations of the rho map
+    across the whole recursive factorization of one input; None means
+    unbounded.
     """
 
     trial_division_bound: int = 1_000_000
@@ -300,11 +301,12 @@ def _trial_divide(x: int, divisors) -> tuple[dict[int, int], int]:
 
 
 def _factor(x: int, effort: Effort | None, divisors) -> Factorization:
-    """factorize's body over a given trial-division source: _trial_divide
-    by the divisors, then rho on what is left.  When the divisors hold
-    every prime of x up to the trial limit and run no further, rho gets
+    """factorize's body over an ascending, possibly endless divisor source:
+    _trial_divide by the divisors up to the trial limit, then rho on what
+    is left.  When they hold every prime of x up to the limit, rho gets
     what factorize would give it, so the result is factorize's."""
-    found, rem = _trial_divide(x, divisors)
+    cut = itertools.takewhile(_trial_limit(effort).__ge__, divisors)
+    found, rem = _trial_divide(x, cut)
     cofactor = 1
     if rem > 1:
         # past sqrt(rem) what is left is 1 or a prime, which this stage

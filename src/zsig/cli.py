@@ -177,6 +177,13 @@ def _scan_exit_code(report: dict) -> int:
     return EXIT_OK
 
 
+def _triple_exit_code(complete: bool, has_large: bool) -> int:
+    # one triple's status: analyze's exit code and the CSV's exit-status
+    if not complete:
+        return EXIT_INCOMPLETE
+    return EXIT_OK if has_large else EXIT_EXCEPTION
+
+
 def _render_scan_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -184,12 +191,6 @@ def _render_scan_csv(rows: list[dict]) -> str:
         ["a", "b", "n", "phi_value", "zsig_primes", "large_primes", "exception", "exit-status"]
     )
     for r in rows:
-        if not r["complete"]:
-            status = EXIT_INCOMPLETE
-        elif r["has_large"]:
-            status = EXIT_OK
-        else:
-            status = EXIT_EXCEPTION
         writer.writerow(
             [
                 r["a"],
@@ -199,7 +200,7 @@ def _render_scan_csv(rows: list[dict]) -> str:
                 ";".join(f"{q}^{e}" if e > 1 else str(q) for q, e in r["zsig"]),
                 ";".join(str(q) for q in r["large"]),
                 r["exception_kind"],
-                status,
+                _triple_exit_code(r["complete"], r["has_large"]),
             ]
         )
     return buf.getvalue()
@@ -354,9 +355,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(json.dumps(_analyze_payload(rep)))
     else:
         print(_render_analyze_text(rep))
-    if not rep.factorization_complete:
-        return EXIT_INCOMPLETE
-    return EXIT_OK if rep.has_large else EXIT_EXCEPTION
+    return _triple_exit_code(rep.factorization_complete, rep.has_large)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

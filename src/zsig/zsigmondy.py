@@ -5,21 +5,23 @@ a**m - b**m; equivalently the multiplicative order of a * b^(-1) mod the
 prime is exactly n.  A large Zsigmondy prime additionally has square
 multiplicity in a**n - b**n or exceeds n + 1.
 
-Everything funnels through the homogeneous cyclotomic value: its prime
-divisors are the order-n primes plus at most one known interloper, which
-is what makes the factorization-free existence decision possible.
+Everything funnels through the homogeneous cyclotomic value.  Each of
+its primes is P(lcm(2, n)), the largest prime of lcm(2, n), or of order
+n and so in 1 + k * lcm(2, n): one known interloper at most, which is
+what makes the factorization-free existence decision possible.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .arith import Effort, Factorization, factorize, is_prime, largest_prime_divisor, vp
-from .arith import _factor, _index_factors, _trial_divide, _trial_limit
+from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
+from .arith import _factor, _index_factors, _trial_divide
 from .cyclotomic import Triple, _eval_homogeneous, cyclotomic_coeffs
 from .valuation import multiplicative_order, vp_cyclotomic
 
@@ -172,28 +174,22 @@ def zsigmondy_primes(
     return zsig
 
 
+def _phi_divisors(n: int) -> Iterator[int]:
+    """P(lcm(2, n)) and then 1 + k * lcm(2, n) without end: ascending, and
+    holding every prime the cyclotomic value at index n can have.  For
+    n >= 2 that is P(n) and the order-n progression; at n = 1 it is 2 and
+    the odd numbers.  Its composites never divide in _trial_divide."""
+    step = math.lcm(2, n)
+    first = largest_prime_divisor(step)
+    return itertools.chain((first,), itertools.count(1 + step, step))
+
+
 def _zsig_core(
     t: Triple, value: int, effort: Effort | None
 ) -> tuple[Factorization, list[tuple[int, int]]]:
-    """Factor the cyclotomic value of t and keep the primes of order n.
-
-    For n >= 2 a prime of the value is either P(n), the largest prime of
-    n, or of order n, hence odd and 1 mod n.  So trial division tries
-    P(n) and then only 1 + k * lcm(2, n), and no sieve is built; this
-    gives factorize's result, because the composites in the progression
-    never divide and every prime the value can have below the trial limit
-    is tried.  At n = 1 the value a - b can hold any prime.
-    """
-    if t.n == 1:
-        fac = factorize(value, effort)
-    else:
-        limit = _trial_limit(effort)
-        p = largest_prime_divisor(t.n)
-        step = math.lcm(2, t.n)
-        divisors = range(1 + step, limit + 1, step)
-        if p <= limit:
-            divisors = itertools.chain((p,), divisors)
-        fac = _factor(value, effort, divisors)
+    """Factor the cyclotomic value of t over _phi_divisors, which gives
+    factorize's result without a sieve, and keep the primes of order n."""
+    fac = _factor(value, effort, _phi_divisors(t.n))
     zsig = [
         (q, e) for q, e in fac.factors if _order_equals(q, t.a, t.b, t.n)
     ]
@@ -211,15 +207,15 @@ def _has_m_large(fast: FastDecision, n: int, multiplier: int) -> bool:
     """Whether a prime squared in a**n - b**n or beyond multiplier * n + 1
     exists, from the fast decision's residual alone.
 
-    Every prime of the residual has order n, so it is 1 mod lcm(2, n).
-    Trial division by that progression up to multiplier * n + 1 finds the
-    small primes; a large one exists exactly when one of those goes in
-    twice or what is left exceeds the bound.  At multiplier 1 this is
-    fast.has_large.
+    Every prime of the residual has order n, so _phi_divisors(n) holds
+    it; its first term P(n) does not divide.  Trial division by those up
+    to multiplier * n + 1 finds the small primes; a large one exists
+    exactly when one of those goes in twice or what is left exceeds the
+    bound.  At multiplier 1 this is fast.has_large.
     """
     bound = multiplier * n + 1
-    step = math.lcm(2, n)
-    found, rem = _trial_divide(fast.residual, range(1 + step, bound + 1, step))
+    small = itertools.takewhile(bound.__ge__, _phi_divisors(n))
+    found, rem = _trial_divide(fast.residual, small)
     # what is left is 1, a prime, or a product of primes beyond the bound
     return rem > bound or any(e > 1 for e in found.values())
 
@@ -353,18 +349,14 @@ def analyze(
 ) -> ZsigReport:
     """Full per-triple report.
 
-    The existence answer is computed three ways: from the factored prime
-    list, from the factorization-free decision, and (as a prediction) from
-    the exception table.  The first two must agree and that is asserted;
-    the table's prediction is recorded in the report, where a disagreement
-    is data, not an error: the scanner collects such triples as
-    mismatches.
-
-    A report is returned whether or not the budget lets the value split
-    completely.  When it does not, factorization_complete is False and
-    the prime lists are partial.  has_large comes from the
-    factorization-free test at the report's multiplier (_has_m_large),
-    which is exact either way.
+    The verdicts come from the factorization-free decision, exact whether
+    or not the budget lets the value split: has_zsigmondy is residual > 1
+    and has_large is _has_m_large at the report's multiplier.  Factoring
+    adds the prime lists, partial when factorization_complete is False;
+    when complete, they are asserted to multiply to the residual and to
+    agree with has_large.  The exception table's prediction is recorded,
+    where a disagreement is data, not an error: the scanner collects such
+    triples as mismatches.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be a positive integer")
@@ -376,19 +368,21 @@ def analyze(
     has_large = _has_m_large(fast, t.n, multiplier)
     complete = fac.complete
     if complete:
+        if math.prod(q**e for q, e in zsig) != fast.residual:
+            raise AssertionError(f"order-{t.n} primes do not multiply to {t}'s residual")
         if bool(large) != has_large:
             raise AssertionError(
                 f"factored and factorization-free decisions disagree on {t}"
             )
         for q, _ in zsig:
-            if value % q != 0 or q % t.n != 1:
+            if q % t.n != 1:
                 raise AssertionError(f"order-{t.n} prime {q} violates its invariants")
     return ZsigReport(
         triple=t,
         phi_value=value,
         zsig_primes=tuple(zsig),
         large_zsig_primes=large,
-        has_zsigmondy=bool(zsig) or (not complete and fast.residual > 1),
+        has_zsigmondy=fast.residual > 1,
         has_large=has_large,
         exception=exception,
         factorization_complete=complete,

@@ -63,6 +63,7 @@ def _expected_exception_set():
     return {(a, b, n) for (a, b, n) in expected if a <= A_MAX and n <= N_MAX}
 
 
+@pytest.mark.slow
 def test_criterion_1_reference_range_scan(reference_scan):
     report, rows = reference_scan
     problems = []
@@ -211,6 +212,7 @@ def test_criterion_5_inequality_suites():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_classic_exceptions(reference_scan):
     _, rows = reference_scan
     no_zsig = {
@@ -231,6 +233,7 @@ def test_criterion_6_classic_exceptions(reference_scan):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_fast_decision_equivalence(reference_scan):
     _, rows = reference_scan
     complete = [r for r in rows if r["complete"]]

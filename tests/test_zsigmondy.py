@@ -3,7 +3,7 @@ from math import gcd as _gcd
 
 import pytest
 
-from zsig import arith, cyclotomic
+from zsig import arith, cyclotomic, zsigmondy
 from zsig.arith import Effort, factorize, vp
 from zsig.cyclotomic import Triple, _eval_homogeneous, eval_homogeneous
 from zsig.valuation import multiplicative_order
@@ -54,11 +54,12 @@ class TestZsigmondyPrimes:
 
 class TestPhiTrialDivision:
     def test_matches_generic_factorize(self):
-        # P(n) and then 1 + k * lcm(2, n) give factorize's factors and
-        # cofactor whatever the trial bound and rho budget
+        # P(lcm(2, n)) and then 1 + k * lcm(2, n) give factorize's factors
+        # and cofactor whatever the trial bound and rho budget, also at
+        # n = 1 and where P(n) = 11, 13 lies beyond a small trial limit
         efforts = [Effort(tb, rb) for tb in [*range(13), 2000] for rb in (0, 50, None)]
         for a, b in _coprime_pairs(7):
-            for n in (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 21, 25, 32):
+            for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 15, 16, 21, 22, 25, 26, 32):
                 value = eval_homogeneous(n, a, b)
                 for effort in efforts:
                     fac, _ = _zsig_core(Triple(a, b, n), value, effort)
@@ -455,6 +456,18 @@ class TestAnalyze:
         calls.clear()
         has_large_zsigmondy_fast(Triple(3, 2, 10))
         assert calls == [(10, 3, 2)]
+
+    def test_factoring_is_checked_against_the_decision(self, monkeypatch):
+        # Phi_5(2, 1) = 31 factors completely; an order test that rejects
+        # 31 leaves order-5 primes that no longer multiply to the residual
+        real = zsigmondy._order_equals
+
+        def rejects_31(q, a, b, n):
+            return q != 31 and real(q, a, b, n)
+
+        monkeypatch.setattr(zsigmondy, "_order_equals", rejects_31)
+        with pytest.raises(AssertionError, match="do not multiply to"):
+            analyze(Triple(2, 1, 5))
 
     def test_fast_agrees_with_list_on_small_range(self):
         for a, b in _coprime_pairs(9):
