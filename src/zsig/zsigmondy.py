@@ -121,25 +121,6 @@ class ZsigReport:
         return (not self.exception.is_exception) == self.has_large
 
 
-class IncompleteFactorizationError(Exception):
-    """The budget ran out before zsigmondy_primes could list every prime.
-
-    Carries whatever was established: the partial factorization and the
-    order-n primes among the factors found.  analyze never raises it; its
-    report says factorization_complete=False instead.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        factorization: Factorization,
-        partial_primes: tuple[tuple[int, int], ...],
-    ) -> None:
-        super().__init__(message)
-        self.factorization = factorization
-        self.partial_primes = partial_primes
-
-
 def _order_equals(q: int, a: int, b: int, n: int) -> bool:
     """Whether the order of a * b^(-1) mod q is exactly n, by powmod."""
     x = a * pow(b, q - 2, q) % q
@@ -149,29 +130,6 @@ def _order_equals(q: int, a: int, b: int, n: int) -> bool:
         if pow(x, n // r, q) == 1:
             return False
     return True
-
-
-def zsigmondy_primes(
-    t: Triple, effort: Effort | None = None
-) -> list[tuple[int, int]]:
-    """All primes whose order at (a, b) is exactly n, with the exponent
-    they carry in a**n - b**n, located by factoring the cyclotomic value.
-
-    For an order-n prime the exponent in a**n - b**n equals its exponent
-    in the cyclotomic value, because no other divisor level can contain
-    it; the report records that shared exponent.
-
-    Raises IncompleteFactorizationError when the budget is exhausted
-    before the value splits completely.
-    """
-    fac, zsig = _zsig_core(t, _eval_homogeneous(t.n, t.a, t.b), effort)
-    if not fac.complete:
-        raise IncompleteFactorizationError(
-            f"budget exhausted with composite cofactor of {fac.cofactor.bit_length()} bits",
-            fac,
-            tuple(zsig),
-        )
-    return zsig
 
 
 def _phi_divisors(n: int) -> Iterator[int]:
@@ -184,25 +142,6 @@ def _phi_divisors(n: int) -> Iterator[int]:
     return itertools.chain((first,), itertools.count(1 + step, step))
 
 
-def _zsig_core(
-    t: Triple, value: int, effort: Effort | None
-) -> tuple[Factorization, list[tuple[int, int]]]:
-    """Factor the cyclotomic value of t over _phi_divisors, which gives
-    factorize's result without a sieve, and keep the primes of order n."""
-    fac = _factor(value, effort, _phi_divisors(t.n))
-    zsig = [
-        (q, e) for q, e in fac.factors if _order_equals(q, t.a, t.b, t.n)
-    ]
-    return fac, zsig
-
-
-def _large(
-    zsig: list[tuple[int, int]], n: int, multiplier: int
-) -> tuple[int, ...]:
-    # large: squared in a**n - b**n, or beyond multiplier * n + 1
-    return tuple(q for q, e in zsig if e >= 2 or q > multiplier * n + 1)
-
-
 def _has_m_large(fast: FastDecision, n: int, multiplier: int) -> bool:
     """Whether a prime squared in a**n - b**n or beyond multiplier * n + 1
     exists, from the fast decision's residual alone.
@@ -212,22 +151,19 @@ def _has_m_large(fast: FastDecision, n: int, multiplier: int) -> bool:
     to multiplier * n + 1 finds the small primes; a large one exists
     exactly when one of those goes in twice or what is left exceeds the
     bound.  At multiplier 1 this is fast.has_large.
+
+    The test stays exact, so its cost grows with the multiplier: it tries
+    1 + k * lcm(2, n) up to min(multiplier * n + 1, sqrt(residual)), also
+    when the factoring is complete, since analyze checks the factored
+    list against it.  `zsig analyze 13 4 31 --M 100000000 --trial-bound
+    1000 --rho-budget 100` takes 15-18 s against 0.2 s at --M 1000
+    (stdlib backend, Python 3.11.7, 2 cores).
     """
     bound = multiplier * n + 1
     small = itertools.takewhile(bound.__ge__, _phi_divisors(n))
     found, rem = _trial_divide(fast.residual, small)
     # what is left is 1, a prime, or a product of primes beyond the bound
     return rem > bound or any(e > 1 for e in found.values())
-
-
-def large_zsigmondy_primes(
-    t: Triple, multiplier: int = 1, effort: Effort | None = None
-) -> list[int]:
-    """Zsigmondy primes that are large: squared in a**n - b**n or beyond
-    multiplier * n + 1.  multiplier = 1 is the standard notion."""
-    if multiplier < 1:
-        raise ValueError("multiplier must be a positive integer")
-    return list(_large(zsigmondy_primes(t, effort), t.n, multiplier))
 
 
 def _phi_mod(n: int, a: int, b: int, p: int) -> int:
@@ -347,40 +283,46 @@ def classify_exception(t: Triple) -> ExceptionCase:
 def analyze(
     t: Triple, effort: Effort | None = None, multiplier: int = 1
 ) -> ZsigReport:
-    """Full per-triple report.
+    """Full per-triple report: decide first, then factor to list primes.
 
     The verdicts come from the factorization-free decision, exact whether
     or not the budget lets the value split: has_zsigmondy is residual > 1
     and has_large is _has_m_large at the report's multiplier.  Factoring
-    adds the prime lists, partial when factorization_complete is False;
-    when complete, they are asserted to multiply to the residual and to
-    agree with has_large.  The exception table's prediction is recorded,
-    where a disagreement is data, not an error: the scanner collects such
-    triples as mismatches.
+    the same cyclotomic value over _phi_divisors(n) adds the prime lists.
+    zsig_primes holds the primes of order exactly n with their exponents.
+    For an order-n prime the exponent in a**n - b**n equals its exponent
+    in the cyclotomic value, because no other divisor level can contain
+    it; the report records that shared exponent.  large_zsig_primes holds
+    those squared in a**n - b**n or beyond multiplier * n + 1.  The lists
+    are partial when factorization_complete is False; when complete, they
+    are asserted to multiply to the residual and to agree with has_large.
+    The exception table's prediction is recorded, where a disagreement is
+    data, not an error: the scanner collects such triples as mismatches.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be a positive integer")
+    a, b, n = t.a, t.b, t.n
     fast = has_large_zsigmondy_fast(t)
     exception = classify_exception(t)
-    value = fast.phi_value
-    fac, zsig = _zsig_core(t, value, effort)
-    large = _large(zsig, t.n, multiplier)
-    has_large = _has_m_large(fast, t.n, multiplier)
+    fac = _factor(fast.phi_value, effort, _phi_divisors(n))
+    zsig = tuple((q, e) for q, e in fac.factors if _order_equals(q, a, b, n))
+    large = tuple(q for q, e in zsig if e >= 2 or q > multiplier * n + 1)
+    has_large = _has_m_large(fast, n, multiplier)
     complete = fac.complete
     if complete:
         if math.prod(q**e for q, e in zsig) != fast.residual:
-            raise AssertionError(f"order-{t.n} primes do not multiply to {t}'s residual")
+            raise AssertionError(f"order-{n} primes do not multiply to {t}'s residual")
         if bool(large) != has_large:
             raise AssertionError(
                 f"factored and factorization-free decisions disagree on {t}"
             )
         for q, _ in zsig:
-            if q % t.n != 1:
-                raise AssertionError(f"order-{t.n} prime {q} violates its invariants")
+            if q % n != 1:
+                raise AssertionError(f"order-{n} prime {q} violates its invariants")
     return ZsigReport(
         triple=t,
-        phi_value=value,
-        zsig_primes=tuple(zsig),
+        phi_value=fast.phi_value,
+        zsig_primes=zsig,
         large_zsig_primes=large,
         has_zsigmondy=fast.residual > 1,
         has_large=has_large,

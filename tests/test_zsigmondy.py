@@ -10,15 +10,12 @@ from zsig.valuation import multiplicative_order
 from zsig.zsigmondy import (
     DivisorCase,
     ExceptionKind,
-    IncompleteFactorizationError,
     analyze,
     classify_exception,
     classify_prime_divisor,
     has_large_zsigmondy_fast,
-    large_zsigmondy_primes,
     sufficiency_check,
-    zsigmondy_primes,
-    _zsig_core,
+    _phi_divisors,
 )
 from oracles import brute_zsigmondy
 
@@ -32,24 +29,10 @@ def _coprime_pairs(a_max):
 
 class TestZsigmondyPrimes:
     def test_examples(self):
-        assert zsigmondy_primes(Triple(2, 1, 6)) == []
-        assert zsigmondy_primes(Triple(2, 1, 4)) == [(5, 1)]
-        assert zsigmondy_primes(Triple(2, 1, 18)) == [(19, 1)]
-        assert zsigmondy_primes(Triple(5, 3, 2)) == []
-
-    def test_n1_allowed(self):
-        assert zsigmondy_primes(Triple(3, 1, 1)) == [(2, 1)]
-        assert zsigmondy_primes(Triple(2, 1, 1)) == []
-
-    def test_incomplete_budget_raises_with_partial_data(self):
-        t = Triple(13, 4, 31)
-        tiny = Effort(trial_division_bound=1_000, rho_step_budget=100)
-        with pytest.raises(IncompleteFactorizationError) as exc:
-            zsigmondy_primes(t, tiny)
-        err = exc.value
-        assert not err.factorization.complete
-        assert err.factorization.cofactor > 1
-        assert isinstance(err.partial_primes, tuple)
+        assert analyze(Triple(2, 1, 6)).zsig_primes == ()
+        assert analyze(Triple(2, 1, 4)).zsig_primes == ((5, 1),)
+        assert analyze(Triple(2, 1, 18)).zsig_primes == ((19, 1),)
+        assert analyze(Triple(5, 3, 2)).zsig_primes == ()
 
 
 class TestPhiTrialDivision:
@@ -62,7 +45,7 @@ class TestPhiTrialDivision:
             for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 15, 16, 21, 22, 25, 26, 32):
                 value = eval_homogeneous(n, a, b)
                 for effort in efforts:
-                    fac, _ = _zsig_core(Triple(a, b, n), value, effort)
+                    fac = arith._factor(value, effort, _phi_divisors(n))
                     assert fac == factorize(value, effort), (a, b, n, effort)
 
     def test_analyze_builds_no_value_sieve(self, monkeypatch):
@@ -89,8 +72,10 @@ class TestBruteForceEquivalence:
         for a, b in _coprime_pairs(10):
             for n in range(2, 25):
                 t = Triple(a, b, n)
-                zsig = zsigmondy_primes(t)
-                large = large_zsigmondy_primes(t)
+                rep = analyze(t)
+                assert rep.factorization_complete, (a, b, n)
+                zsig = list(rep.zsig_primes)
+                large = list(rep.large_zsig_primes)
                 ozsig, olarge = brute_zsigmondy(a, b, n)
                 assert zsig == ozsig, (a, b, n)
                 assert large == olarge, (a, b, n)
@@ -104,7 +89,6 @@ class TestBruteForceEquivalence:
                 for q, e in zsig:
                     if q not in large:
                         assert q == n + 1 and e == 1
-                rep = analyze(t)
                 if not rep.table_agrees:
                     mismatched_table.append((a, b, n))
                 # every prime divisor of the value must land in exactly
@@ -119,28 +103,26 @@ class TestBruteForceEquivalence:
 
 class TestLargeZsigmondyPrimes:
     def test_examples(self):
-        assert large_zsigmondy_primes(Triple(2, 1, 5)) == [31]
-        assert large_zsigmondy_primes(Triple(2, 1, 4)) == []
-        assert large_zsigmondy_primes(Triple(7, 2, 2)) == [3]
+        assert analyze(Triple(2, 1, 5)).large_zsig_primes == (31,)
+        assert analyze(Triple(2, 1, 4)).large_zsig_primes == ()
+        assert analyze(Triple(7, 2, 2)).large_zsig_primes == (3,)
 
     def test_squared_divisor_qualifies(self):
         # (7,2,2): 3 <= n + 1 but 9 | 45 makes it large anyway
         t = Triple(7, 2, 2)
-        assert zsigmondy_primes(t) == [(3, 2)]
+        assert analyze(t).zsig_primes == ((3, 2),)
         assert vp(7**2 - 2**2, 3) == 2
 
     def test_multiplier_raises_threshold(self):
         t = Triple(4, 3, 2)
-        assert large_zsigmondy_primes(t, multiplier=1) == [7]  # 7 > 3
-        assert large_zsigmondy_primes(t, multiplier=2) == [7]  # 7 > 5
-        assert large_zsigmondy_primes(t, multiplier=3) == []   # 7 = 3*2+1
-        with pytest.raises(ValueError):
-            large_zsigmondy_primes(t, multiplier=0)
+        assert analyze(t, multiplier=1).large_zsig_primes == (7,)  # 7 > 3
+        assert analyze(t, multiplier=2).large_zsig_primes == (7,)  # 7 > 5
+        assert analyze(t, multiplier=3).large_zsig_primes == ()    # 7 = 3*2+1
 
     def test_multiplier_keeps_squared_primes(self):
         # exponent >= 2 qualifies regardless of the threshold
         t = Triple(7, 2, 2)
-        assert large_zsigmondy_primes(t, multiplier=100) == [3]
+        assert analyze(t, multiplier=100).large_zsig_primes == (3,)
 
 
 class TestClassifyPrimeDivisor:
@@ -247,7 +229,7 @@ class TestSufficiency:
         # inequality 4 * 3 < 7 fails; sufficiency is one-directional.
         t = Triple(2, 1, 3)
         assert not sufficiency_check(t)
-        assert large_zsigmondy_primes(t) == [7]
+        assert analyze(t).large_zsig_primes == (7,)
 
     def test_implies_large_on_small_range(self):
         for a, b in _coprime_pairs(10):
