@@ -13,7 +13,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 try:
     from gmpy2 import mpz
@@ -122,8 +122,12 @@ def _primes_up_to(bound: int) -> list[int]:
     return _sieve_primes[:cut]
 
 
-@dataclass(frozen=True)
-class Effort:
+class Effort(
+    NamedTuple(
+        "_EffortFields",
+        [("trial_division_bound", int), ("rho_step_budget", int | None)],
+    )
+):
     """Budget for factorize: trial division first, then Pollard rho.
 
     Trial division always reaches 7 and stops at 2**24 even when
@@ -134,32 +138,54 @@ class Effort:
     that can hold its primes (zsigmondy._phi_divisors), so no sieve is
     built for it.  rho_step_budget counts iterations of the rho map
     across the whole recursive factorization of one input; None means
-    unbounded.
+    unbounded.  A tuple record; the constructor, _make, _replace, copy
+    and unpickling (a pool worker's copy too) all validate.
     """
 
-    trial_division_bound: int = 1_000_000
-    rho_step_budget: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.trial_division_bound < 0:
+    def __new__(
+        cls, trial_division_bound: int = 1_000_000, rho_step_budget: int | None = None
+    ) -> Effort:
+        if trial_division_bound < 0:
             raise ValueError("trial bound must be nonnegative")
-        if self.rho_step_budget is not None and self.rho_step_budget < 0:
+        if rho_step_budget is not None and rho_step_budget < 0:
             raise ValueError("rho budget must be nonnegative")
+        return tuple.__new__(cls, (trial_division_bound, rho_step_budget))
+
+    @classmethod
+    def _make(cls, iterable) -> Effort:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(
+    NamedTuple(
+        "_FactorizationFields",
+        [("value", int), ("factors", tuple[tuple[int, int], ...]), ("cofactor", int)],
+    )
+):
     """Multiset of prime powers with an explicit unfactored remainder.
 
     factors holds (prime, exponent) pairs with primes strictly increasing.
     cofactor is 1 when the factorization is complete; otherwise it is the
     composite part the budget could not split, so that the invariant
-    value == cofactor * product(p**e) always holds.
+    value == cofactor * product(p**e) always holds.  A tuple record; the
+    constructor, _make, _replace, copy and unpickling all run
+    __post_init__, which checks that invariant.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int = 1
+    __slots__ = ()
+
+    def __new__(
+        cls, value: int, factors: tuple[tuple[int, int], ...], cofactor: int = 1
+    ) -> Factorization:
+        self = tuple.__new__(cls, (value, factors, cofactor))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Factorization:
+        return cls(*iterable)
 
     def __post_init__(self) -> None:
         if self.value < 1:

@@ -19,8 +19,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Effort, gcd
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
@@ -45,21 +44,39 @@ ANALYZE_TRIAL_BOUND = 1_000_000
 ANALYZE_RHO_BUDGET = 40_000_000
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    a_max: int
-    n_max: int
-    effort: Effort = Effort(SCAN_TRIAL_BOUND, SCAN_RHO_BUDGET)
-    parallelism: int = 1
-    output_format: str = "json"
+class ScanConfig(
+    NamedTuple(
+        "_ScanConfigFields",
+        [
+            ("a_max", int),
+            ("n_max", int),
+            ("effort", Effort),
+            ("parallelism", int),
+            ("output_format", str),
+        ],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a_max < 2 or self.n_max < 2:
+    def __new__(
+        cls,
+        a_max: int,
+        n_max: int,
+        effort: Effort = Effort(SCAN_TRIAL_BOUND, SCAN_RHO_BUDGET),
+        parallelism: int = 1,
+        output_format: str = "json",
+    ) -> ScanConfig:
+        if a_max < 2 or n_max < 2:
             raise ValueError("a_max and n_max must be at least 2")
-        if self.parallelism < 1:
+        if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        if self.output_format not in ("json", "csv", "text"):
+        if output_format not in ("json", "csv", "text"):
             raise ValueError("format must be json, csv, or text")
+        return tuple.__new__(cls, (a_max, n_max, effort, parallelism, output_format))
+
+    @classmethod
+    def _make(cls, iterable) -> ScanConfig:
+        return cls(*iterable)
 
 
 def _row_from_report(rep: ZsigReport) -> dict:
@@ -114,6 +131,9 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[dic
     with contextlib.ExitStack() as stack:
         mapper = map
         if config.parallelism > 1:
+            # imported here, so that commands that never fork skip multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=config.parallelism)
             mapper = stack.enter_context(pool).map
         for i, chunk in enumerate(mapper(_scan_pair, jobs), 1):

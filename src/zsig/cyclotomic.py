@@ -23,7 +23,6 @@ zsigmondy._phi_mod and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import _index_factors, divisors, euler_phi, mobius
@@ -57,17 +56,21 @@ class Triple(NamedTuple("_TripleFields", [("a", int), ("b", int), ("n", int)])):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(NamedTuple("_IntPolyFields", [("coeffs", tuple[int, ...])])):
     """Dense integer polynomial; coeffs[k] multiplies x**k, leading last."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __new__(cls, coeffs: tuple[int, ...]) -> IntPoly:
+        if not coeffs:
             raise ValueError("empty coefficient vector")
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
+        if len(coeffs) > 1 and coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
+        return tuple.__new__(cls, (coeffs,))
+
+    @classmethod
+    def _make(cls, iterable) -> IntPoly:
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:

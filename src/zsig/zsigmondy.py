@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -34,18 +33,24 @@ class DivisorCase(Enum):
     LARGEST_PRIME = "largest_prime"
 
 
-@dataclass(frozen=True)
-class PrimeDivisorClass:
-    case: DivisorCase
-    p: int
-    k: int
-    beta: int
+class PrimeDivisorClass(
+    NamedTuple(
+        "_PrimeDivisorClassFields",
+        [("case", DivisorCase), ("p", int), ("k", int), ("beta", int)],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.case is DivisorCase.TWO_POWER and self.p != 2:
+    def __new__(cls, case: DivisorCase, p: int, k: int, beta: int) -> PrimeDivisorClass:
+        if case is DivisorCase.TWO_POWER and p != 2:
             raise ValueError("two-power case requires p = 2")
-        if self.case is not DivisorCase.TWO_POWER and self.p < 3:
+        if case is not DivisorCase.TWO_POWER and p < 3:
             raise ValueError("odd cases require p >= 3")
+        return tuple.__new__(cls, (case, p, k, beta))
+
+    @classmethod
+    def _make(cls, iterable) -> PrimeDivisorClass:
+        return cls(*iterable)
 
 
 class ExceptionKind(Enum):
@@ -60,8 +65,7 @@ class ExceptionKind(Enum):
     PAIR_2_1_N10_12_18 = "pair_2_1_n10_12_18"
 
 
-@dataclass(frozen=True)
-class ExceptionCase:
+class ExceptionCase(NamedTuple):
     kind: ExceptionKind
     s: int | None = None
     t: int | None = None
@@ -101,8 +105,7 @@ class FastDecision(NamedTuple):
     threshold: int
 
 
-@dataclass(frozen=True)
-class ZsigReport:
+class ZsigReport(NamedTuple):
     triple: Triple
     phi_value: int
     zsig_primes: tuple[tuple[int, int], ...]

@@ -1,0 +1,160 @@
+"""The tuple records: every construction path of a validated record checks
+its fields, no record can be changed, and the reprs read as before."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from zsig.arith import Effort, Factorization, factorize
+from zsig.cli import ScanConfig
+from zsig.cyclotomic import IntPoly, Triple, cyclotomic_coeffs
+from zsig.zsigmondy import (
+    DivisorCase,
+    ExceptionKind,
+    PrimeDivisorClass,
+    analyze,
+    classify_exception,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (record, valid fields, fields its validation rejects)
+VALIDATED = [
+    (Effort, (2000, 3_000_000), (-1, None)),
+    (Factorization, (12, ((2, 2), (3, 1)), 1), (10, ((2, 1), (3, 1)), 1)),
+    (IntPoly, ((1, 0, 1),), ((1, 0),)),
+    (
+        PrimeDivisorClass,
+        (DivisorCase.ZSIGMONDY, 7, 3, 0),
+        (DivisorCase.TWO_POWER, 3, 1, 1),
+    ),
+    (ScanConfig, (30, 36, Effort(), 2, "json"), (30, 36, Effort(), 0, "json")),
+]
+IDS = [cls.__name__ for cls, _, _ in VALIDATED]
+
+
+@pytest.mark.parametrize("cls, good, bad", VALIDATED, ids=IDS)
+def test_every_construction_path_validates(cls, good, bad):
+    # a record forged past __new__, to show copy and pickle re-check it
+    forged = tuple.__new__(cls, bad)
+    paths = [
+        lambda: cls(*bad),
+        lambda: cls._make(bad),
+        lambda: cls(*good)._replace(**dict(zip(cls._fields, bad))),
+        lambda: pickle.loads(pickle.dumps(forged)),
+        lambda: copy.copy(forged),
+    ]
+    for make in paths:
+        with pytest.raises(ValueError):
+            make()
+
+
+@pytest.mark.parametrize("cls, good, bad", VALIDATED, ids=IDS)
+def test_valid_paths_round_trip(cls, good, bad):
+    rec = cls(*good)
+    assert type(rec) is cls and tuple(rec) == good
+    assert cls._make(good) == rec
+    assert rec._replace() == rec
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    assert copy.copy(rec) == rec
+
+
+def _records():
+    return [cls(*good) for cls, good, _ in VALIDATED] + [
+        classify_exception(Triple(5, 3, 2)),
+        analyze(Triple(2, 1, 6)),
+    ]
+
+
+@pytest.mark.parametrize("rec", _records(), ids=lambda r: type(r).__name__)
+def test_immutable(rec):
+    field = rec._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, field, None)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+def test_reprs_unchanged():
+    assert repr(Effort(2000, 3_000_000)) == (
+        "Effort(trial_division_bound=2000, rho_step_budget=3000000)"
+    )
+    assert repr(Effort()) == "Effort(trial_division_bound=1000000, rho_step_budget=None)"
+    assert repr(factorize(12)) == (
+        "Factorization(value=12, factors=((2, 2), (3, 1)), cofactor=1)"
+    )
+    assert repr(cyclotomic_coeffs(12)) == "IntPoly(coeffs=(1, 0, -1, 0, 1))"
+    assert repr(PrimeDivisorClass(DivisorCase.ZSIGMONDY, 7, 3, 0)) == (
+        "PrimeDivisorClass(case=<DivisorCase.ZSIGMONDY: 'zsigmondy'>, p=7, k=3, beta=0)"
+    )
+    assert repr(ScanConfig(3, 4)) == (
+        "ScanConfig(a_max=3, n_max=4, effort=Effort(trial_division_bound=2000, "
+        "rho_step_budget=3000000), parallelism=1, output_format='json')"
+    )
+    assert repr(classify_exception(Triple(5, 3, 2))) == (
+        "ExceptionCase(kind=<ExceptionKind.SUM_POWER_OF_TWO: 'sum_power_of_two'>, "
+        "s=3, t=0, pair=None)"
+    )
+    assert repr(analyze(Triple(2, 1, 6))) == (
+        "ZsigReport(triple=Triple(a=2, b=1, n=6), phi_value=3, zsig_primes=(), "
+        "large_zsig_primes=(), has_zsigmondy=False, has_large=False, "
+        "exception=ExceptionCase(kind=<ExceptionKind.TRIPLE_2_1_6: 'triple_2_1_6'>, "
+        "s=None, t=None, pair=(2, 1)), factorization_complete=True, "
+        "phi_factors=Factorization(value=3, factors=((3, 1),), cofactor=1), "
+        "fast=FastDecision(has_large=False, phi_value=3, removed_prime=3, "
+        "removed_exponent=1, residual=1, threshold=7), large_multiplier=1)"
+    )
+
+
+def test_defaults_unchanged():
+    config = ScanConfig(3, 4)
+    assert config.effort == Effort(2000, 3_000_000)
+    assert (config.parallelism, config.output_format) == (1, "json")
+    assert Factorization(7, ((7, 1),)).cofactor == 1
+    case = classify_exception(Triple(7, 2, 2))
+    assert case.kind is ExceptionKind.NONE
+    assert (case.s, case.t, case.pair) == (None, None, None)
+
+
+def test_factorization_construction_runs_post_init(monkeypatch):
+    # the benchmark's tracer counts Factorization checks by wrapping this
+    # class attribute, so every construction has to go through it
+    seen = []
+    check = Factorization.__post_init__
+
+    def counted(self):
+        seen.append(self)
+        check(self)
+
+    monkeypatch.setattr(Factorization, "__post_init__", counted)
+    fac = Factorization(12, ((2, 2), (3, 1)))
+    assert seen == [fac]
+    assert factorize(360) in seen and len(seen) == 2
+    with pytest.raises(ValueError):
+        Factorization(10, ((2, 1), (3, 1)))
+    assert len(seen) == 3
+
+
+def test_import_loads_neither_pool_nor_dataclasses():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import zsig, zsig.cli\n"
+        "print(zsig.__file__)\n"
+        "print(*sorted(set(sys.modules) - before), sep='\\n')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    where, *added = proc.stdout.splitlines()
+    assert Path(where).resolve().is_relative_to(SRC)
+    assert "zsig.cli" in added
+    heavy = {"dataclasses", "concurrent.futures.process", "multiprocessing"}
+    assert heavy.isdisjoint(added)
