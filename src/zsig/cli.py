@@ -79,28 +79,48 @@ class ScanConfig(
         return cls(*iterable)
 
 
-def _row_from_report(rep: ZsigReport) -> dict:
+class ScanRow(NamedTuple):
+    """One scanned triple: a CSV line, and the fields the report lists."""
+
+    a: int
+    b: int
+    n: int
+    phi_value: int
+    zsig: tuple[tuple[int, int], ...]
+    large: tuple[int, ...]
+    exception_kind: str
+    witness: dict
+    is_exception: bool
+    has_zsigmondy: bool
+    has_large: bool
+    fast_has_large: bool
+    residual: int
+    complete: bool
+    table_agrees: bool
+
+
+def _row_from_report(rep: ZsigReport) -> ScanRow:
     t = rep.triple
-    return {
-        "a": t.a,
-        "b": t.b,
-        "n": t.n,
-        "phi_value": rep.phi_value,
-        "zsig": [[q, e] for q, e in rep.zsig_primes],
-        "large": list(rep.large_zsig_primes),
-        "exception_kind": rep.exception.kind.value,
-        "witness": rep.exception.witness(),
-        "is_exception": rep.exception.is_exception,
-        "has_zsigmondy": rep.has_zsigmondy,
-        "has_large": rep.has_large,
-        "fast_has_large": rep.fast.has_large,
-        "residual": rep.fast.residual,
-        "complete": rep.factorization_complete,
-        "table_agrees": rep.table_agrees,
-    }
+    return ScanRow(
+        t.a,
+        t.b,
+        t.n,
+        rep.phi_value,
+        rep.zsig_primes,
+        rep.large_zsig_primes,
+        rep.exception.kind.value,
+        rep.exception.witness(),
+        rep.exception.is_exception,
+        rep.has_zsigmondy,
+        rep.has_large,
+        rep.fast.has_large,
+        rep.fast.residual,
+        rep.factorization_complete,
+        rep.table_agrees,
+    )
 
 
-def _scan_pair(job: tuple[int, int, int, Effort]) -> list[dict]:
+def _scan_pair(job: tuple[int, int, int, Effort]) -> list[ScanRow]:
     a, b, n_max, effort = job
     return [
         _row_from_report(analyze(Triple(a, b, n), effort))
@@ -117,17 +137,19 @@ def coprime_pairs(a_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[dict]]:
+def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[ScanRow]]:
     """Execute a scan; returns (report object, per-triple rows).
 
     The report object follows the documented schema: config, summary,
-    exceptions, mismatches, incomplete.  Rows are canonically sorted by
-    (a, b, n) regardless of worker scheduling, so output is deterministic.
+    exceptions, mismatches, incomplete.  Rows come in (a, b, n) order
+    whatever the worker scheduling, so output is deterministic: the jobs
+    ascend by (a, b), each job's rows ascend by n, and both map and
+    ProcessPoolExecutor.map yield results in job order.
     """
     started = time.monotonic()
     pairs = coprime_pairs(config.a_max)
     jobs = [(a, b, config.n_max, config.effort) for (a, b) in pairs]
-    rows: list[dict] = []
+    rows: list[ScanRow] = []
     with contextlib.ExitStack() as stack:
         mapper = map
         if config.parallelism > 1:
@@ -140,32 +162,29 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[dic
             rows.extend(chunk)
             if progress and i % 25 == 0:
                 print(f"{i}/{len(jobs)} pairs done", file=sys.stderr, flush=True)
-    rows.sort(key=lambda r: (r["a"], r["b"], r["n"]))
     exceptions = [
         {
-            "a": r["a"],
-            "b": r["b"],
-            "n": r["n"],
-            "case": r["exception_kind"],
-            "witness": r["witness"],
+            "a": r.a,
+            "b": r.b,
+            "n": r.n,
+            "case": r.exception_kind,
+            "witness": r.witness,
         }
         for r in rows
-        if r["is_exception"]
+        if r.is_exception
     ]
     mismatches = [
         {
-            "a": r["a"],
-            "b": r["b"],
-            "n": r["n"],
-            "table_predicts_large": not r["is_exception"],
-            "computed_has_large": r["has_large"],
+            "a": r.a,
+            "b": r.b,
+            "n": r.n,
+            "table_predicts_large": not r.is_exception,
+            "computed_has_large": r.has_large,
         }
         for r in rows
-        if not r["table_agrees"]
+        if not r.table_agrees
     ]
-    incomplete = [
-        {"a": r["a"], "b": r["b"], "n": r["n"]} for r in rows if not r["complete"]
-    ]
+    incomplete = [{"a": r.a, "b": r.b, "n": r.n} for r in rows if not r.complete]
     report = {
         "config": {
             "a_max": config.a_max,
@@ -204,7 +223,7 @@ def _triple_exit_code(complete: bool, has_large: bool) -> int:
     return EXIT_OK if has_large else EXIT_EXCEPTION
 
 
-def _render_scan_csv(rows: list[dict]) -> str:
+def _render_scan_csv(rows: list[ScanRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -213,14 +232,14 @@ def _render_scan_csv(rows: list[dict]) -> str:
     for r in rows:
         writer.writerow(
             [
-                r["a"],
-                r["b"],
-                r["n"],
-                r["phi_value"],
-                ";".join(f"{q}^{e}" if e > 1 else str(q) for q, e in r["zsig"]),
-                ";".join(str(q) for q in r["large"]),
-                r["exception_kind"],
-                _triple_exit_code(r["complete"], r["has_large"]),
+                r.a,
+                r.b,
+                r.n,
+                r.phi_value,
+                ";".join(f"{q}^{e}" if e > 1 else str(q) for q, e in r.zsig),
+                ";".join(str(q) for q in r.large),
+                r.exception_kind,
+                _triple_exit_code(r.complete, r.has_large),
             ]
         )
     return buf.getvalue()
@@ -297,7 +316,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _analyze_payload(rep: ZsigReport) -> dict:
-    payload = _row_from_report(rep)
+    payload = _row_from_report(rep)._asdict()
     fac = rep.phi_factors
     payload["factors"] = [[p, e] for p, e in fac.factors]
     payload["cofactor"] = fac.cofactor

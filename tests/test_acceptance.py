@@ -216,7 +216,7 @@ def test_criterion_5_inequality_suites():
 def test_criterion_6_classic_exceptions(reference_scan):
     _, rows = reference_scan
     no_zsig = {
-        (r["a"], r["b"], r["n"]) for r in rows if not r["has_zsigmondy"]
+        (r.a, r.b, r.n) for r in rows if not r.has_zsigmondy
     }
     expected = {(2, 1, 6)} | {
         (a, b, 2)
@@ -236,18 +236,18 @@ def test_criterion_6_classic_exceptions(reference_scan):
 @pytest.mark.slow
 def test_criterion_7_fast_decision_equivalence(reference_scan):
     _, rows = reference_scan
-    complete = [r for r in rows if r["complete"]]
-    partial = [r for r in rows if not r["complete"]]
+    complete = [r for r in rows if r.complete]
+    partial = [r for r in rows if not r.complete]
     for r in complete:
-        assert r["fast_has_large"] == bool(r["large"]), (
-            r["a"], r["b"], r["n"],
+        assert r.fast_has_large == bool(r.large), (
+            r.a, r.b, r.n,
         )
     # where the factorization did not finish, the unfactored residual is a
     # product of order-n primes each exceeding n + 1, so the fast decision
     # must say yes there
     for r in partial:
-        assert r["fast_has_large"], (r["a"], r["b"], r["n"])
-        assert r["residual"] > r["n"] + 1
+        assert r.fast_has_large, (r.a, r.b, r.n)
+        assert r.residual > r.n + 1
     print(
         f"\nACCEPTANCE criterion 7 [PASS]: factorization-free decision "
         f"matches the factored list on all {len(complete)} completed "

@@ -1,8 +1,10 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
-from zsig.cli import main
+from zsig.cli import ScanConfig, main, run_scan
 
 
 def run(capsys, *argv):
@@ -132,6 +134,12 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "3", "1", "6", "--format", "json")
         assert code == 1
         payload = json.loads(out)
+        assert list(payload) == [
+            "a", "b", "n", "phi_value", "zsig", "large", "exception_kind",
+            "witness", "is_exception", "has_zsigmondy", "has_large",
+            "fast_has_large", "residual", "complete", "table_agrees",
+            "factors", "cofactor", "fast", "large_multiplier",
+        ]
         assert payload["phi_value"] == 7
         assert payload["zsig"] == [[7, 1]]
         assert payload["large"] == []
@@ -235,6 +243,32 @@ class TestScan:
         r1["config"].pop("parallelism")
         r2["config"].pop("parallelism")
         assert r1 == r2
+
+    def test_parallel_csv_matches_serial(self, capsys):
+        # the CSV lists every row, so this pins the order of pooled rows
+        argv = ["scan", "--a-max", "7", "--n-max", "12", "--format", "csv"]
+        serial = run(capsys, *argv, "--jobs", "1")
+        pooled = run(capsys, *argv, "--jobs", "2")
+        assert serial[1].count("\n") == 1 + 17 * 11  # header, 17 pairs * 11 exponents
+        assert pooled == serial
+
+    def test_row_memory(self):
+        # the scan's parent holds every row and pool workers fork from that
+        # heap; the bound sits between tuple rows (about 440 bytes each on
+        # this range) and 15-key dict rows (about 820)
+        tracemalloc.start()
+        try:
+            _, rows = run_scan(ScanConfig(12, 12))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            count = len(rows)
+            del rows
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert count == 495  # 45 pairs * 11 exponents
+        assert held < 630 * count
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

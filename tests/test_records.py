@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from zsig.arith import Effort, Factorization, factorize
-from zsig.cli import ScanConfig
+from zsig.cli import ScanConfig, ScanRow, _row_from_report
 from zsig.cyclotomic import IntPoly, Triple, cyclotomic_coeffs
 from zsig.zsigmondy import (
     DivisorCase,
@@ -68,6 +68,7 @@ def _records():
     return [cls(*good) for cls, good, _ in VALIDATED] + [
         classify_exception(Triple(5, 3, 2)),
         analyze(Triple(2, 1, 6)),
+        _row_from_report(analyze(Triple(3, 2, 10))),
     ]
 
 
@@ -109,6 +110,19 @@ def test_reprs_unchanged():
         "fast=FastDecision(has_large=False, phi_value=3, removed_prime=3, "
         "removed_exponent=1, residual=1, threshold=7), large_multiplier=1)"
     )
+
+
+def test_scan_row_repr_and_pickle():
+    row = _row_from_report(analyze(Triple(3, 2, 10)))
+    assert repr(row) == (
+        "ScanRow(a=3, b=2, n=10, phi_value=55, zsig=((11, 1),), large=(), "
+        "exception_kind='none', witness={}, is_exception=False, "
+        "has_zsigmondy=True, has_large=False, fast_has_large=False, "
+        "residual=11, complete=True, table_agrees=False)"
+    )
+    # every row a pool worker makes reaches the parent through pickle
+    back = pickle.loads(pickle.dumps(row))
+    assert type(back) is ScanRow and back == row
 
 
 def test_defaults_unchanged():
