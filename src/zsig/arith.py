@@ -122,7 +122,19 @@ def _primes_up_to(bound: int) -> list[int]:
     return _sieve_primes[:cut]
 
 
+class _Validated:
+    """Mixin for tuple records whose __new__ validates: _make, and so
+    _replace, goes through the constructor instead of tuple.__new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class Effort(
+    _Validated,
     NamedTuple(
         "_EffortFields",
         [("trial_division_bound", int), ("rho_step_budget", int | None)],
@@ -153,12 +165,9 @@ class Effort(
             raise ValueError("rho budget must be nonnegative")
         return tuple.__new__(cls, (trial_division_bound, rho_step_budget))
 
-    @classmethod
-    def _make(cls, iterable) -> Effort:
-        return cls(*iterable)
-
 
 class Factorization(
+    _Validated,
     NamedTuple(
         "_FactorizationFields",
         [("value", int), ("factors", tuple[tuple[int, int], ...]), ("cofactor", int)],
@@ -183,10 +192,6 @@ class Factorization(
         self.__post_init__()
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> Factorization:
-        return cls(*iterable)
-
     def __post_init__(self) -> None:
         if self.value < 1:
             raise ValueError("value must be positive")
@@ -209,15 +214,6 @@ class Factorization(
     @property
     def complete(self) -> bool:
         return self.cofactor == 1
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
 
 def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:

@@ -21,7 +21,7 @@ import sys
 import time
 from typing import NamedTuple
 
-from .arith import Effort, gcd
+from .arith import Effort, _Validated, gcd
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
 from .zsigmondy import ZsigReport, analyze, classify_prime_divisor
 
@@ -45,6 +45,7 @@ ANALYZE_RHO_BUDGET = 40_000_000
 
 
 class ScanConfig(
+    _Validated,
     NamedTuple(
         "_ScanConfigFields",
         [
@@ -73,10 +74,6 @@ class ScanConfig(
         if output_format not in ("json", "csv", "text"):
             raise ValueError("format must be json, csv, or text")
         return tuple.__new__(cls, (a_max, n_max, effort, parallelism, output_format))
-
-    @classmethod
-    def _make(cls, iterable) -> ScanConfig:
-        return cls(*iterable)
 
 
 class ScanRow(NamedTuple):
@@ -320,13 +317,9 @@ def _analyze_payload(rep: ZsigReport) -> dict:
     fac = rep.phi_factors
     payload["factors"] = [[p, e] for p, e in fac.factors]
     payload["cofactor"] = fac.cofactor
-    payload["fast"] = {
-        "has_large": rep.fast.has_large,
-        "removed_prime": rep.fast.removed_prime,
-        "removed_exponent": rep.fast.removed_exponent,
-        "residual": rep.fast.residual,
-        "threshold": rep.fast.threshold,
-    }
+    fast = rep.fast._asdict()
+    del fast["phi_value"]
+    payload["fast"] = fast
     payload["large_multiplier"] = rep.large_multiplier
     return payload
 

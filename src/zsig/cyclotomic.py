@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import _index_factors, divisors, euler_phi, mobius
+from .arith import _index_factors, _Validated, divisors, euler_phi, mobius
 
 
 def _check(a: int, b: int, n: int) -> None:
@@ -40,7 +40,9 @@ def _check(a: int, b: int, n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
-class Triple(NamedTuple("_TripleFields", [("a", int), ("b", int), ("n", int)])):
+class Triple(
+    _Validated, NamedTuple("_TripleFields", [("a", int), ("b", int), ("n", int)])
+):
     """A validated input (a, b, n): coprime, ordered, positive.  A tuple
     record; the constructor, _make, _replace, copy and unpickling all
     run _check."""
@@ -51,12 +53,8 @@ class Triple(NamedTuple("_TripleFields", [("a", int), ("b", int), ("n", int)])):
         _check(a, b, n)
         return tuple.__new__(cls, (a, b, n))
 
-    @classmethod
-    def _make(cls, iterable) -> Triple:
-        return cls(*iterable)
 
-
-class IntPoly(NamedTuple("_IntPolyFields", [("coeffs", tuple[int, ...])])):
+class IntPoly(_Validated, NamedTuple("_IntPolyFields", [("coeffs", tuple[int, ...])])):
     """Dense integer polynomial; coeffs[k] multiplies x**k, leading last."""
 
     __slots__ = ()
@@ -68,19 +66,9 @@ class IntPoly(NamedTuple("_IntPolyFields", [("coeffs", tuple[int, ...])])):
             raise ValueError("leading coefficient must be nonzero")
         return tuple.__new__(cls, (coeffs,))
 
-    @classmethod
-    def _make(cls, iterable) -> IntPoly:
-        return cls(*iterable)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def _mul_binomial(poly: list[int], k: int) -> list[int]:

@@ -1,20 +1,15 @@
-"""Closed-form p-adic valuations.
+"""Closed-form p-adic valuation of a homogeneous cyclotomic value.
 
-Two closed forms live here: the lifting-the-exponent formula for
-v_p(x**m - y**m), and the valuation of a homogeneous cyclotomic value,
-driven entirely by the multiplicative order of a * b^(-1) modulo p.  The
-second deliberately never evaluates the cyclotomic value itself, so tests
-against direct factorization are a genuine cross-check.
+The closed form is driven entirely by the multiplicative order of
+a * b^(-1) modulo p.  It deliberately never evaluates the cyclotomic
+value itself, so tests against direct factorization are a genuine
+cross-check.
 """
 
 from __future__ import annotations
 
 from .arith import factorize, is_prime, vp
 from .cyclotomic import Triple
-
-
-class LtePreconditionError(ValueError):
-    """The lifting-the-exponent hypotheses do not hold for these inputs."""
 
 
 def multiplicative_order(p: int, a: int, b: int) -> int:
@@ -33,31 +28,6 @@ def multiplicative_order(p: int, a: int, b: int) -> int:
         while k % q == 0 and pow(x, k // q, p) == 1:
             k //= q
     return k
-
-
-def lte_valuation(p: int, x: int, y: int, m: int) -> int:
-    """v_p(x**m - y**m) by the lifting-the-exponent closed form.
-
-    Requires p prime, p | x - y, p coprime to x and y, m >= 1, x != y.
-    For p = 2 the formula splits on the parity of m.  Inputs outside the
-    hypotheses raise LtePreconditionError so callers can fall back to a
-    direct valuation.
-    """
-    if m < 1:
-        raise LtePreconditionError("m must be positive")
-    if not is_prime(p):
-        raise LtePreconditionError("p must be prime")
-    if x == y:
-        raise LtePreconditionError("x == y makes the valuation infinite")
-    if x % p == 0 or y % p == 0:
-        raise LtePreconditionError("p must not divide x or y")
-    if (x - y) % p != 0:
-        raise LtePreconditionError("p must divide x - y")
-    if p == 2:
-        if m % 2 == 0:
-            return vp(x - y, 2) + vp(x + y, 2) + vp(m, 2) - 1
-        return vp(x - y, 2)
-    return vp(x - y, p) + vp(m, p)
 
 
 def vp_cyclotomic(p: int, a: int, b: int, n: int) -> int:

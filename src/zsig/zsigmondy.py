@@ -20,7 +20,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
-from .arith import _factor, _index_factors, _trial_divide
+from .arith import _factor, _index_factors, _trial_divide, _Validated
 from .cyclotomic import Triple, _eval_homogeneous, cyclotomic_coeffs
 from .valuation import multiplicative_order, vp_cyclotomic
 
@@ -34,6 +34,7 @@ class DivisorCase(Enum):
 
 
 class PrimeDivisorClass(
+    _Validated,
     NamedTuple(
         "_PrimeDivisorClassFields",
         [("case", DivisorCase), ("p", int), ("k", int), ("beta", int)],
@@ -47,10 +48,6 @@ class PrimeDivisorClass(
         if case is not DivisorCase.TWO_POWER and p < 3:
             raise ValueError("odd cases require p >= 3")
         return tuple.__new__(cls, (case, p, k, beta))
-
-    @classmethod
-    def _make(cls, iterable) -> PrimeDivisorClass:
-        return cls(*iterable)
 
 
 class ExceptionKind(Enum):

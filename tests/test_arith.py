@@ -147,21 +147,15 @@ class TestLargestPrimeDivisor:
 
 class TestFactorize:
     def test_examples(self):
-        assert factorize(63).as_dict() == {3: 2, 7: 1}
-        assert factorize(1).as_dict() == {}
-        assert factorize(2**18 - 1).as_dict() == {3: 3, 7: 1, 19: 1, 73: 1}
+        assert dict(factorize(63).factors) == {3: 2, 7: 1}
+        assert dict(factorize(1).factors) == {}
+        assert dict(factorize(2**18 - 1).factors) == {3: 3, 7: 1, 19: 1, 73: 1}
 
     def test_complete_flag(self):
         f = factorize(2**21 - 1)
         assert f.complete
         assert f.cofactor == 1
-        assert f.as_dict() == {7: 2, 127: 1, 337: 1}
-
-    def test_exponent_of(self):
-        f = factorize(720)
-        assert f.exponent_of(2) == 4
-        assert f.exponent_of(3) == 2
-        assert f.exponent_of(11) == 0
+        assert dict(f.factors) == {7: 2, 127: 1, 337: 1}
 
     def test_budget_exhaustion_leaves_cofactor(self):
         p, q = 58740000001, 58740000029  # primes near 6e10, far past trial range
@@ -174,13 +168,13 @@ class TestFactorize:
         # With the budget lifted the same number splits fully.
         g = factorize(n, Effort(trial_division_bound=10_000, rho_step_budget=None))
         assert g.complete
-        assert g.as_dict() == {p: 1, q: 1}
+        assert dict(g.factors) == {p: 1, q: 1}
 
     def test_mixed_partial(self):
         p, q = 58740000001, 58740000029
         n = 12 * p * q
         f = factorize(n, Effort(trial_division_bound=10_000, rho_step_budget=50))
-        assert f.as_dict() == {2: 2, 3: 1}
+        assert dict(f.factors) == {2: 2, 3: 1}
         assert f.cofactor == p * q
         assert not f.complete
 
@@ -190,7 +184,7 @@ class TestFactorize:
         p, q = 16777259, 16777289
         f = factorize(p * q, Effort(trial_division_bound=1 << 25))
         assert f.complete
-        assert f.as_dict() == {p: 1, q: 1}
+        assert dict(f.factors) == {p: 1, q: 1}
         assert len(arith._sieve_flags) <= arith._SIEVE_CAP + 1
 
     @given(st.integers(1, 10**12))
@@ -202,14 +196,14 @@ class TestFactorize:
         for p, e in f.factors:
             prod *= p**e
         assert prod == x
-        assert f.as_dict() == factor_oracle(x)
+        assert dict(f.factors) == factor_oracle(x)
 
     def test_small_trial_bounds_match_oracle(self):
         # bounds below 7 still try the primes up to 7
         for bound in range(13):
             effort = Effort(bound, None)
             for x in range(1, 3000):
-                assert factorize(x, effort).as_dict() == factor_oracle(x), (x, bound)
+                assert dict(factorize(x, effort).factors) == factor_oracle(x), (x, bound)
 
     def test_small_trial_bounds_without_rho(self):
         for bound in range(13):
@@ -221,13 +215,13 @@ class TestFactorize:
                 for p, e in f.factors:
                     prod *= p**e
                 assert prod == x, (x, bound)
-                found = f.as_dict()
+                found = dict(f.factors)
                 assert all(p in found for p in tried if x % p == 0), (x, bound)
 
     def test_perfect_powers(self):
-        assert factorize(2**64).as_dict() == {2: 64}
-        assert factorize((10**9 + 7) ** 2).as_dict() == {10**9 + 7: 2}
-        assert factorize(6**12).as_dict() == {2: 12, 3: 12}
+        assert dict(factorize(2**64).factors) == {2: 64}
+        assert dict(factorize((10**9 + 7) ** 2).factors) == {10**9 + 7: 2}
+        assert dict(factorize(6**12).factors) == {2: 12, 3: 12}
 
 
 class TestBrentRho:

@@ -147,6 +147,9 @@ class TestAnalyze:
         assert payload["table_agrees"] is True
         assert payload["factors"] == [[7, 1]]
         assert payload["fast"]["has_large"] is False
+        assert list(payload["fast"]) == [
+            "has_large", "removed_prime", "removed_exponent", "residual", "threshold",
+        ]
 
     @pytest.mark.parametrize(
         "flag,message",

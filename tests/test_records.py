@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from zsig.arith import Effort, Factorization, factorize
+from zsig.arith import Effort, Factorization, _Validated, factorize
 from zsig.cli import ScanConfig, ScanRow, _row_from_report
 from zsig.cyclotomic import IntPoly, Triple, cyclotomic_coeffs
 from zsig.zsigmondy import (
@@ -62,6 +62,13 @@ def test_valid_paths_round_trip(cls, good, bad):
     assert rec._replace() == rec
     assert pickle.loads(pickle.dumps(rec)) == rec
     assert copy.copy(rec) == rec
+
+
+@pytest.mark.parametrize("cls", [Triple] + [cls for cls, _, _ in VALIDATED])
+def test_one_shared_make(cls):
+    # _make, and so _replace, comes from the one mixin, not a copy per record
+    assert issubclass(cls, _Validated)
+    assert "_make" not in cls.__dict__
 
 
 def _records():

@@ -4,12 +4,7 @@ import pytest
 
 from zsig.arith import divisors, vp
 from zsig.cyclotomic import eval_homogeneous
-from zsig.valuation import (
-    LtePreconditionError,
-    lte_valuation,
-    multiplicative_order,
-    vp_cyclotomic,
-)
+from zsig.valuation import multiplicative_order, vp_cyclotomic
 from oracles import order_brute
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -45,35 +40,6 @@ class TestMultiplicativeOrder:
             multiplicative_order(3, 6, 1)
         with pytest.raises(ValueError):
             multiplicative_order(5, 7, 5)
-
-
-class TestLte:
-    def test_examples(self):
-        assert lte_valuation(3, 5, 2, 6) == vp(5**6 - 2**6, 3)
-        assert lte_valuation(2, 7, 1, 4) == vp(7**4 - 1, 2)
-        assert lte_valuation(2, 5, 3, 5) == vp(5**5 - 3**5, 2)
-        assert lte_valuation(7, 10, 3, 14) == vp(10**14 - 3**14, 7)
-
-    def test_precondition_gates(self):
-        with pytest.raises(LtePreconditionError):
-            lte_valuation(3, 5, 3, 4)  # p divides y
-        with pytest.raises(LtePreconditionError):
-            lte_valuation(3, 5, 4, 2)  # p does not divide x - y
-        with pytest.raises(LtePreconditionError):
-            lte_valuation(5, 7, 7, 3)  # x == y
-        with pytest.raises(LtePreconditionError):
-            lte_valuation(3, 5, 2, 0)  # exponent must be positive
-        with pytest.raises(ValueError):
-            lte_valuation(4, 5, 1, 3)  # modulus must be prime
-
-    def test_full_sweep_matches_direct_valuation(self):
-        for p in PRIMES_TO_50:
-            for x in range(2, 31):
-                for y in range(1, x):
-                    if (x - y) % p != 0 or x % p == 0 or y % p == 0:
-                        continue
-                    for m in range(1, 41):
-                        assert lte_valuation(p, x, y, m) == vp(x**m - y**m, p)
 
 
 class TestVpCyclotomic:
