@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .arith import Effort, _Validated, gcd
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
-from .zsigmondy import ZsigReport, analyze, classify_prime_divisor
+from .zsigmondy import ExceptionCase, ZsigReport, analyze, classify_prime_divisor
 
 EXIT_OK = 0
 EXIT_EXCEPTION = 1
@@ -85,9 +85,7 @@ class ScanRow(NamedTuple):
     phi_value: int
     zsig: tuple[tuple[int, int], ...]
     large: tuple[int, ...]
-    exception_kind: str
-    witness: dict
-    is_exception: bool
+    exception: ExceptionCase
     has_zsigmondy: bool
     has_large: bool
     fast_has_large: bool
@@ -105,9 +103,7 @@ def _row_from_report(rep: ZsigReport) -> ScanRow:
         rep.phi_value,
         rep.zsig_primes,
         rep.large_zsig_primes,
-        rep.exception.kind.value,
-        rep.exception.witness(),
-        rep.exception.is_exception,
+        rep.exception,
         rep.has_zsigmondy,
         rep.has_large,
         rep.fast.has_large,
@@ -164,18 +160,18 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[Sca
             "a": r.a,
             "b": r.b,
             "n": r.n,
-            "case": r.exception_kind,
-            "witness": r.witness,
+            "case": r.exception.kind.value,
+            "witness": r.exception.witness(),
         }
         for r in rows
-        if r.is_exception
+        if r.exception.is_exception
     ]
     mismatches = [
         {
             "a": r.a,
             "b": r.b,
             "n": r.n,
-            "table_predicts_large": not r.is_exception,
+            "table_predicts_large": not r.exception.is_exception,
             "computed_has_large": r.has_large,
         }
         for r in rows
@@ -235,7 +231,7 @@ def _render_scan_csv(rows: list[ScanRow]) -> str:
                 r.phi_value,
                 ";".join(f"{q}^{e}" if e > 1 else str(q) for q, e in r.zsig),
                 ";".join(str(q) for q in r.large),
-                r.exception_kind,
+                r.exception.kind.value,
                 _triple_exit_code(r.complete, r.has_large),
             ]
         )
@@ -313,7 +309,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _analyze_payload(rep: ZsigReport) -> dict:
-    payload = _row_from_report(rep)._asdict()
+    payload: dict = {}
+    for key, value in _row_from_report(rep)._asdict().items():
+        if key == "exception":
+            # one field of the row, three keys of the JSON, in its place
+            payload["exception_kind"] = value.kind.value
+            payload["witness"] = value.witness()
+            payload["is_exception"] = value.is_exception
+        else:
+            payload[key] = value
     fac = rep.phi_factors
     payload["factors"] = [[p, e] for p, e in fac.factors]
     payload["cofactor"] = fac.cofactor

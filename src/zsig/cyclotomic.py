@@ -7,8 +7,11 @@ independent evaluators are provided so they can check each other, each
 through its own identity:
 
 - eval_homogeneous: the divisor product
-  Phi_n(a, b) = prod over d | rad(n) of (a**(n/d) - b**(n/d))**mu(d),
-  with the exponents n/d split by the sign of mu(d) and cached per index;
+  Phi_n(a, b) = prod over d | rad(n) of (a**(n/d) - b**(n/d))**mu(d) at
+  odd n, and over d | rad(m) of (a**(n/2d) + b**(n/2d))**mu(d), half the
+  terms, at even n = 2**k * m, m odd, since Phi_2m(x) = Phi_m(-x) for odd
+  m > 1 and Phi_2(x) = x + 1; the exponents are split by the sign of
+  mu(d) and cached per index;
   callers that have validated once use the unchecked _eval_homogeneous;
 - eval_mobius: the same product taken from the definition, walking every
   divisor of n and its Moebius value on each call, with no cache;
@@ -102,13 +105,15 @@ COEFF_CACHE_LIMIT = 4096
 
 
 def _mobius_split(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The exponents n/d over the squarefree divisors d of n, split into
-    those with mu(d) = +1 and those with mu(d) = -1."""
+    """The exponents e of n's divisor product, split by the sign of mu(d):
+    e = n/d over the squarefree d | n at odd n (terms a**e - b**e), and
+    e = n/2d over the squarefree d | m at even n = 2**k * m (a**e + b**e)."""
     split = _split_cache.get(n)
     if split is not None:
         return split
-    plus, minus = [n], []
-    for p, _ in _index_factors(n):
+    even = n % 2 == 0
+    plus, minus = [n // 2 if even else n], []
+    for p, _ in _index_factors(n)[even:]:
         plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
     split = (tuple(plus), tuple(minus))
     if n <= COEFF_CACHE_LIMIT:
@@ -120,7 +125,8 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
     """Exact coefficient vector of the n-th cyclotomic polynomial.
 
     The index is first reduced to its radical (the polynomial at n is the
-    one at rad(n) with x replaced by a power), then the squarefree case is
+    one at rad(n) with x replaced by a power).  An even squarefree 2m takes
+    m's coefficients with alternating signs, and an odd squarefree one is
     assembled from the divisor products of x**d - 1 via inclusion-exclusion
     on the Moebius function.  All arithmetic is exact; every binomial
     division checks its remainder.
@@ -138,6 +144,11 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
         for i, c in enumerate(base):
             out[i * stretch] = c
         poly = IntPoly(tuple(out))
+    elif n % 2 == 0:
+        # Phi_2m(x) = (-1)**phi(m) * Phi_m(-x): the leading sign is kept
+        base = cyclotomic_coeffs(n // 2).coeffs
+        deg = len(base) - 1
+        poly = IntPoly(tuple(-c if (deg - i) % 2 else c for i, c in enumerate(base)))
     else:
         nums, dens = _mobius_split(n)
         work = [1]
@@ -152,9 +163,10 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
 
 
 def eval_homogeneous(n: int, a: int, b: int) -> int:
-    """Homogeneous cyclotomic value at (a, b) as the divisor product of
-    (a**e - b**e) over the cached Moebius exponent split of n, with one
-    exact division at the end."""
+    """Homogeneous cyclotomic value at (a, b) as the divisor product over
+    the cached Moebius exponent split of n, with one exact division at the
+    end: of a**e - b**e, e = n/d, d | rad(n) at odd n, and of a**e + b**e,
+    e = n/2d, d | rad(m), half as many terms, at even n = 2**k * m, m odd."""
     _check(a, b, n)
     return _eval_homogeneous(n, a, b)
 
@@ -162,12 +174,17 @@ def eval_homogeneous(n: int, a: int, b: int) -> int:
 def _eval_homogeneous(n: int, a: int, b: int) -> int:
     # eval_homogeneous without validation, for arguments already checked
     plus, minus = _mobius_split(n)
-    num = 1
-    for e in plus:
-        num *= a**e - b**e
-    den = 1
-    for e in minus:
-        den *= a**e - b**e
+    num = den = 1
+    if n % 2:
+        for e in plus:
+            num *= a**e - b**e
+        for e in minus:
+            den *= a**e - b**e
+    else:
+        for e in plus:
+            num *= a**e + b**e
+        for e in minus:
+            den *= a**e + b**e
     q, r = divmod(num, den)
     if r != 0:
         raise ArithmeticError("divisor product did not divide exactly")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
 from .arith import _factor, _index_factors, _trial_divide, _Validated
-from .cyclotomic import Triple, _eval_homogeneous, cyclotomic_coeffs
+from .cyclotomic import COEFF_CACHE_LIMIT, Triple, _eval_homogeneous, cyclotomic_coeffs
 from .valuation import multiplicative_order, vp_cyclotomic
 
 
@@ -207,6 +207,10 @@ def classify_prime_divisor(p: int, t: Triple) -> PrimeDivisorClass:
     raise ValueError("prime divisor fits no case; this contradicts the theory")
 
 
+# P(n) for each index n >= 2 the decision has seen, up to COEFF_CACHE_LIMIT
+_top_prime: dict[int, int] = {}
+
+
 def has_large_zsigmondy_fast(t: Triple) -> FastDecision:
     """Factorization-free existence decision for a large Zsigmondy prime.
 
@@ -219,23 +223,23 @@ def has_large_zsigmondy_fast(t: Triple) -> FastDecision:
     and it is not large, and residual > n + 1 forces either a prime above
     n + 1 or a repeated prime, either of which is large.
     """
-    a, b, n = t.a, t.b, t.n
-    if n < 2:
-        raise ValueError("the decision needs n >= 2")
+    a, b, n = t
+    p = _top_prime.get(n)
+    if p is None:
+        if n < 2:
+            raise ValueError("the decision needs n >= 2")
+        p = _index_factors(n)[-1][0]
+        if n <= COEFF_CACHE_LIMIT:
+            _top_prime[n] = p
     value = _eval_homogeneous(n, a, b)
-    p = largest_prime_divisor(n)
     removed_exp = 0
     residual = value
     while residual % p == 0:
         residual //= p
         removed_exp += 1
-    return FastDecision(
-        has_large=residual > n + 1,
-        phi_value=value,
-        removed_prime=p if removed_exp else None,
-        removed_exponent=removed_exp,
-        residual=residual,
-        threshold=n + 1,
+    return tuple.__new__(
+        FastDecision,
+        (residual > n + 1, value, p if removed_exp else None, removed_exp, residual, n + 1),
     )
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from zsig.cli import ScanConfig, main, run_scan
+from zsig.zsigmondy import _NO_EXCEPTION, ExceptionCase
 
 
 def run(capsys, *argv):
@@ -272,6 +273,16 @@ class TestScan:
             tracemalloc.stop()
         assert count == 495  # 45 pairs * 11 exponents
         assert held < 630 * count
+
+    def test_rows_share_the_exception_case(self):
+        # a row holds its report's ExceptionCase, and every row the table
+        # does not list holds the one shared case, not a witness of its own
+        _, rows = run_scan(ScanConfig(12, 12))
+        plain = [r for r in rows if not r.exception.is_exception]
+        assert len(plain) == 478
+        assert all(r.exception is _NO_EXCEPTION for r in plain)
+        listed = [r.exception for r in rows if r.exception.is_exception]
+        assert [type(e) for e in listed] == [ExceptionCase] * 17
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

@@ -5,7 +5,7 @@ from math import gcd as _gcd
 import pytest
 
 from zsig import cyclotomic
-from zsig.arith import divisors, euler_phi, totient_sieve
+from zsig.arith import divisors, euler_phi, mobius, totient_sieve
 from zsig.cyclotomic import (
     COEFF_CACHE_LIMIT,
     IntPoly,
@@ -210,12 +210,66 @@ class TestDivisorProduct:
                 assert eval_homogeneous(n, a, b) == hom_value(n, a, b)
 
     def test_split_cache_stops_at_limit(self):
-        eval_homogeneous(4100, 3, 2)
+        # one cache of exponent splits, bounded for even and odd indices
+        # alike; the other module-level dict holds coefficient vectors
+        above = {4100, 4101, 4102, 8190}
+        for n in above:
+            eval_homogeneous(n, 3, 2)
         cyclotomic_coeffs(4372)
         eval_homogeneous(COEFF_CACHE_LIMIT, 3, 2)
-        assert 4100 not in cyclotomic._split_cache
-        assert COEFF_CACHE_LIMIT in cyclotomic._split_cache
+        eval_homogeneous(COEFF_CACHE_LIMIT - 1, 3, 2)
+        assert not above & cyclotomic._split_cache.keys()
+        assert {COEFF_CACHE_LIMIT, COEFF_CACHE_LIMIT - 1} <= cyclotomic._split_cache.keys()
         assert max(cyclotomic._split_cache) <= COEFF_CACHE_LIMIT
+        caches = [
+            k for k, v in vars(cyclotomic).items()
+            if isinstance(v, dict) and not k.startswith("__")
+        ]
+        assert sorted(caches) == ["_coeff_cache", "_split_cache"]
+
+    def test_coefficients_split_only_odd_squarefree_indices(self, monkeypatch):
+        # an even index's split holds the a**e + b**e form, which the
+        # coefficient build never reads
+        monkeypatch.setattr(cyclotomic, "_split_cache", {})
+        monkeypatch.setattr(cyclotomic, "_coeff_cache", {})
+        for n in range(1, 301):
+            cyclotomic_coeffs(n)
+        assert cyclotomic._split_cache
+        assert all(n % 2 and mobius(n) for n in cyclotomic._split_cache)
+
+    @pytest.mark.parametrize("n, split", [(9, ((9,), (2,))), (10, ((5,), (2,)))])
+    def test_inexact_division_raises(self, monkeypatch, n, split):
+        # a wrong split is caught by the exact division, in either form
+        monkeypatch.setattr(cyclotomic, "_split_cache", {n: split})
+        with pytest.raises(ArithmeticError, match="divisor product did not divide exactly"):
+            eval_homogeneous(n, 3, 2)
+
+
+class TestEvenIndexForm:
+    """At even n = 2**k * m, m odd, the divisor product runs over the
+    squarefree d | m with terms a**(n/2d) + b**(n/2d); the evaluators that
+    keep the a**e - b**e form, and the naive coefficients, check it."""
+
+    def test_matches_other_evaluators(self):
+        # holds n = 2, the powers of two, 2 * p**k and 4 * odd
+        for n in range(1, 257):
+            for a in range(2, 11):
+                for b in range(1, a):
+                    if _gcd(a, b) != 1:
+                        continue
+                    v = cyclotomic._eval_homogeneous(n, a, b)
+                    assert v == eval_mobius(n, a, b) == eval_recursive(n, a, b)
+
+    def test_uncached_indices(self):
+        assert min(4100, 4102, 8190) > COEFF_CACHE_LIMIT
+        for n in (4100, 4102, 8190):
+            for a, b in ((2, 1), (3, 2), (7, 4)):
+                v = cyclotomic._eval_homogeneous(n, a, b)
+                assert v == eval_mobius(n, a, b) == eval_recursive(n, a, b)
+
+    def test_even_coefficients_match_naive(self):
+        for n in range(2, 301, 2):
+            assert cyclotomic_coeffs(n).coeffs == naive_cyclotomic(n)
 
 
 class TestValidation:

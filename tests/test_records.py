@@ -123,7 +123,8 @@ def test_scan_row_repr_and_pickle():
     row = _row_from_report(analyze(Triple(3, 2, 10)))
     assert repr(row) == (
         "ScanRow(a=3, b=2, n=10, phi_value=55, zsig=((11, 1),), large=(), "
-        "exception_kind='none', witness={}, is_exception=False, "
+        "exception=ExceptionCase(kind=<ExceptionKind.NONE: 'none'>, s=None, "
+        "t=None, pair=None), "
         "has_zsigmondy=True, has_large=False, fast_has_large=False, "
         "residual=11, complete=True, table_agrees=False)"
     )

@@ -4,11 +4,18 @@ import pytest
 
 from zsig import arith, cyclotomic, zsigmondy
 from zsig.arith import Effort, factorize, vp
-from zsig.cyclotomic import Triple, _eval_homogeneous, eval_homogeneous
+from zsig.cyclotomic import (
+    COEFF_CACHE_LIMIT,
+    Triple,
+    _eval_homogeneous,
+    eval_homogeneous,
+    eval_mobius,
+)
 from zsig.valuation import multiplicative_order
 from zsig.zsigmondy import (
     DivisorCase,
     ExceptionKind,
+    FastDecision,
     analyze,
     classify_exception,
     classify_prime_divisor,
@@ -211,6 +218,60 @@ class TestFastDecision:
             d.has_large = True
         with pytest.raises(AttributeError):
             d.extra = 1
+
+
+def _largest_prime(n):
+    # P(n) by trial division
+    top, q, p = 1, n, 2
+    while q > 1:
+        if q % p:
+            p += 1
+        else:
+            top, q = p, q // p
+    return top
+
+
+class TestDecisionReference:
+    """The decision field by field against a reference built here from
+    eval_mobius and trial division."""
+
+    @staticmethod
+    def _reference(a, b, n):
+        value = eval_mobius(n, a, b)
+        p = _largest_prime(n)
+        residual, removed = value, 0
+        while residual % p == 0:
+            residual, removed = residual // p, removed + 1
+        return {
+            "has_large": residual > n + 1,
+            "phi_value": value,
+            "removed_prime": p if removed else None,
+            "removed_exponent": removed,
+            "residual": residual,
+            "threshold": n + 1,
+        }
+
+    def test_matches_reference(self):
+        for a, b in _coprime_pairs(30):
+            for n in range(2, 61):
+                d = has_large_zsigmondy_fast(Triple(a, b, n))
+                assert type(d) is FastDecision
+                assert d._asdict() == self._reference(a, b, n)
+
+    def test_top_prime_lookup_is_bounded(self):
+        limit = COEFF_CACHE_LIMIT
+        for n in (limit - 1, limit, limit + 1, limit + 4, 3 * limit):
+            d = has_large_zsigmondy_fast(Triple(3, 2, n))
+            assert d == tuple(self._reference(3, 2, n).values())
+        assert {limit - 1, limit} <= zsigmondy._top_prime.keys()
+        assert max(zsigmondy._top_prime) <= limit
+
+    def test_rejects_n1_once_warm(self):
+        has_large_zsigmondy_fast(Triple(2, 1, 2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="the decision needs n >= 2"):
+                has_large_zsigmondy_fast(Triple(2, 1, 1))
+        assert 1 not in zsigmondy._top_prime
 
 
 class TestSufficiency:
