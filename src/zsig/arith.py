@@ -149,9 +149,11 @@ class Effort(
     than sqrt(x).  A cyclotomic value is divided only by the integers
     that can hold its primes (zsigmondy._phi_divisors), so no sieve is
     built for it.  rho_step_budget counts iterations of the rho map
-    across the whole recursive factorization of one input; None means
-    unbounded.  A tuple record; the constructor, _make, _replace, copy
-    and unpickling (a pool worker's copy too) all validate.
+    across the whole recursive factorization of one value, shared by the
+    algebraic pieces it may arrive as (zsigmondy.analyze splits the
+    value at a perfect-power pair); None means unbounded.  A tuple
+    record; the constructor, _make, _replace, copy and unpickling (a
+    pool worker's copy too) all validate.
     """
 
     __slots__ = ()
@@ -222,6 +224,9 @@ def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:
     Returns (factor, steps_used); factor is None when the budget ran out.
     n must be odd, composite, and not a perfect power of a single prime
     found elsewhere; correctness does not depend on that, progress does.
+    Both phases take four map steps per loop pass, phase 2 reducing four
+    differences x - y at once; budgets are checked between batches only,
+    so (factor, steps_used) is the one-step loop's.
     """
     n = mpz(n)
     used = 0
@@ -234,14 +239,25 @@ def _brent_rho(n: int, budget: int | None) -> tuple[int | None, int]:
             x = y
             if budget is not None and used + r > budget:
                 return None, used + r
-            for _ in range(r):
+            for _ in range(r >> 2):
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+            for _ in range(r & 3):
                 y = (y * y + c) % n
             used += r
             k = 0
             while k < r and g == 1:
                 ys = y
                 steps = min(m, r - k)
-                for _ in range(steps):
+                for _ in range(steps >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(steps & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 used += steps
@@ -294,7 +310,7 @@ def factorize(x: int, effort: Effort | None = None) -> Factorization:
     if x < 1:
         raise ValueError("factorize expects a positive integer")
     # trial division breaks past sqrt(x) anyway, so sieve no further
-    return _factor(x, effort, _primes_up_to(min(_trial_limit(effort), math.isqrt(x))))
+    return _factor(x, effort, [(x, _primes_up_to(min(_trial_limit(effort), math.isqrt(x))))])
 
 
 def _trial_divide(x: int, divisors) -> tuple[dict[int, int], int]:
@@ -322,36 +338,44 @@ def _trial_divide(x: int, divisors) -> tuple[dict[int, int], int]:
     return found, rem
 
 
-def _factor(x: int, effort: Effort | None, divisors) -> Factorization:
-    """factorize's body over an ascending, possibly endless divisor source:
-    _trial_divide by the divisors up to the trial limit, then rho on what
-    is left.  When they hold every prime of x up to the limit, rho gets
-    what factorize would give it, so the result is factorize's."""
-    cut = itertools.takewhile(_trial_limit(effort).__ge__, divisors)
-    found, rem = _trial_divide(x, cut)
+def _factor(x: int, effort: Effort | None, pieces) -> Factorization:
+    """factorize's body for x given as pieces, (value, divisors) pairs
+    whose values multiply to x; factorize passes x as its one piece.
+    Each value is _trial_divide'd by its ascending, possibly endless
+    divisor source up to the trial limit, then one rho stack splits what
+    is left of all of them under one budget.  When each divisor source
+    holds every prime of its value up to the limit, a single piece gives
+    rho what factorize would give it, so the result is factorize's."""
+    limit = _trial_limit(effort)
+    found: dict[int, int] = {}
+    stack = []
+    for value, divisors in pieces:
+        part, rem = _trial_divide(value, itertools.takewhile(limit.__ge__, divisors))
+        for p, e in part.items():
+            found[p] = found.get(p, 0) + e
+        if rem > 1:
+            stack.append(rem)
+    # past sqrt(rem) what is left is 1 or a prime, which this stage
+    # records without spending a step
+    budget = effort.rho_step_budget if effort else None
+    spent = 0
     cofactor = 1
-    if rem > 1:
-        # past sqrt(rem) what is left is 1 or a prime, which this stage
-        # records without spending a step
-        budget = effort.rho_step_budget if effort else None
-        spent = 0
-        stack = [rem]
-        while stack:
-            y = stack.pop()
-            if is_prime(y):
-                found[y] = found.get(y, 0) + 1
-                continue
-            root, k = _split_perfect_power(y)
-            if k > 1:
-                stack.extend([root] * k)
-                continue
-            g, used = _brent_rho(y, None if budget is None else budget - spent)
-            spent += used
-            if g is None:
-                cofactor *= y
-                continue
-            stack.append(g)
-            stack.append(y // g)
+    while stack:
+        y = stack.pop()
+        if is_prime(y):
+            found[y] = found.get(y, 0) + 1
+            continue
+        root, k = _split_perfect_power(y)
+        if k > 1:
+            stack.extend([root] * k)
+            continue
+        g, used = _brent_rho(y, None if budget is None else budget - spent)
+        spent += used
+        if g is None:
+            cofactor *= y
+            continue
+        stack.append(g)
+        stack.append(y // g)
     return Factorization(x, tuple(sorted(found.items())), cofactor)
 
 

@@ -135,14 +135,15 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[Sca
 
     The report object follows the documented schema: config, summary,
     exceptions, mismatches, incomplete.  Rows come in (a, b, n) order
-    whatever the worker scheduling, so output is deterministic: the jobs
-    ascend by (a, b), each job's rows ascend by n, and both map and
-    ProcessPoolExecutor.map yield results in job order.
+    whatever the worker scheduling, so output is deterministic: jobs go
+    out by descending (a, b), costliest first, so a pool ends on cheap
+    ones; map and ProcessPoolExecutor.map yield results in job order, and
+    the chunks, each ascending by n, are put back in (a, b) order.
     """
     started = time.monotonic()
     pairs = coprime_pairs(config.a_max)
-    jobs = [(a, b, config.n_max, config.effort) for (a, b) in pairs]
-    rows: list[ScanRow] = []
+    jobs = [(a, b, config.n_max, config.effort) for (a, b) in reversed(pairs)]
+    chunks: list[list[ScanRow]] = []
     with contextlib.ExitStack() as stack:
         mapper = map
         if config.parallelism > 1:
@@ -152,9 +153,10 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[Sca
             pool = ProcessPoolExecutor(max_workers=config.parallelism)
             mapper = stack.enter_context(pool).map
         for i, chunk in enumerate(mapper(_scan_pair, jobs), 1):
-            rows.extend(chunk)
+            chunks.append(chunk)
             if progress and i % 25 == 0:
                 print(f"{i}/{len(jobs)} pairs done", file=sys.stderr, flush=True)
+    rows = [row for chunk in reversed(chunks) for row in chunk]
     exceptions = [
         {
             "a": r.a,

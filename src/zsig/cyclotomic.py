@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import _index_factors, _Validated, divisors, euler_phi, mobius
+from .arith import _index_factors, _iroot, _primes_up_to, _Validated, divisors, euler_phi, mobius
 
 
 def _check(a: int, b: int, n: int) -> None:
@@ -189,6 +189,22 @@ def _eval_homogeneous(n: int, a: int, b: int) -> int:
     if r != 0:
         raise ArithmeticError("divisor product did not divide exactly")
     return q
+
+
+def _power_pieces(n: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """(m, s, t) triples whose values Phi_m(s, t) multiply to Phi_n(a, b),
+    by Phi_n(s**p, t**p) = Phi_np(s, t) * Phi_n(s, t) for a prime p not
+    dividing n, and Phi_np(s, t) for p | n, applied while a and b are
+    both p-th powers; [(n, a, b)] when they share no prime power."""
+    for p in _primes_up_to(a.bit_length()):
+        t, exact = _iroot(b, p)
+        if exact:
+            s, exact = _iroot(a, p)
+            if exact:
+                s, t = int(s), int(t)
+                rest = [] if n % p == 0 else _power_pieces(n, s, t)
+                return _power_pieces(n * p, s, t) + rest
+    return [(n, a, b)]
 
 
 def eval_mobius(n: int, a: int, b: int) -> int:

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
 from .arith import _factor, _index_factors, _trial_divide, _Validated
-from .cyclotomic import COEFF_CACHE_LIMIT, Triple, _eval_homogeneous, cyclotomic_coeffs
+from .cyclotomic import COEFF_CACHE_LIMIT, Triple, _eval_homogeneous, _power_pieces
+from .cyclotomic import cyclotomic_coeffs
 from .valuation import multiplicative_order, vp_cyclotomic
 
 
@@ -292,7 +293,10 @@ def analyze(
     The verdicts come from the factorization-free decision, exact whether
     or not the budget lets the value split: has_zsigmondy is residual > 1
     and has_large is _has_m_large at the report's multiplier.  Factoring
-    the same cyclotomic value over _phi_divisors(n) adds the prime lists.
+    the same cyclotomic value over _phi_divisors(n) adds the prime lists;
+    when a and b are both p-th powers, the value is factored as its
+    cyclotomic._power_pieces instead, each over its own _phi_divisors,
+    under one rho budget, and the order-n filter runs on (a, b, n).
     zsig_primes holds the primes of order exactly n with their exponents.
     For an order-n prime the exponent in a**n - b**n equals its exponent
     in the cyclotomic value, because no other divisor level can contain
@@ -308,7 +312,10 @@ def analyze(
     a, b, n = t.a, t.b, t.n
     fast = has_large_zsigmondy_fast(t)
     exception = classify_exception(t)
-    fac = _factor(fast.phi_value, effort, _phi_divisors(n))
+    split = _power_pieces(n, a, b)
+    values = [fast.phi_value] if len(split) == 1 else [_eval_homogeneous(*p) for p in split]
+    pieces = [(v, _phi_divisors(m)) for v, (m, _, _) in zip(values, split)]
+    fac = _factor(fast.phi_value, effort, pieces)
     zsig = tuple((q, e) for q, e in fac.factors if _order_equals(q, a, b, n))
     large = tuple(q for q, e in zsig if e >= 2 or q > multiplier * n + 1)
     has_large = _has_m_large(fast, n, multiplier)

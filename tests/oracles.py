@@ -61,6 +61,14 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+def perfect_power_pairs(a_max: int) -> list[tuple[int, int]]:
+    """Coprime a > b with a <= a_max where a and b are both perfect powers
+    (1 counts), whether or not they share an exponent."""
+    powers = sorted({r**k for r in range(1, a_max + 1) for k in range(2, a_max.bit_length() + 1)
+                     if r**k <= a_max})
+    return [(a, b) for a in powers for b in powers if b < a and _gcd(a, b) == 1]
+
+
 def factor_oracle(x: int) -> dict[int, int]:
     """Full factorization of x >= 1 as {prime: exponent}."""
     assert x >= 1

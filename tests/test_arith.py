@@ -245,6 +245,44 @@ class TestBrentRho:
             for budget in [*budgets, steps - 1, steps, None]:
                 assert arith._brent_rho(n, budget) == brent_rho_reference(n, budget), (n, budget)
 
+    def test_budget_ends_inside_every_four_step_group(self):
+        # the walk takes four map steps per loop pass in both phases; a
+        # budget may end at any offset inside a group, of phase 1 at r
+        # (from 2r - 2 steps in all) or of phase 2 (from 3r - 2), also in
+        # the 512-step batches of phase 2 at r = 2048
+        n = 10000141 * 100000007
+        budgets = set()
+        r = 4
+        while r <= 4096:
+            for start in (2 * r - 2, 3 * r - 2):
+                budgets.update(start + j for j in range(9))
+                budgets.update(start + r - j for j in range(1, 5))
+            r *= 2
+        budgets.update(3 * 2048 - 2 + 512 * k + j for k in range(1, 4) for j in range(-4, 5))
+        for budget in sorted(budgets):
+            assert arith._brent_rho(n, budget) == brent_rho_reference(n, budget), budget
+
+    def test_each_of_the_four_differences_counts(self):
+        # products of neighbouring primes near 10**5, where the collision
+        # that splits n falls at each of the four places in a group for
+        # some n; leaving one difference out of the product moves a split
+        primes = [p for p in range(100003, 100300) if is_prime_oracle(p)]
+        for p, q in zip(primes[::2], primes[1::2]):
+            n = p * q
+            assert arith._brent_rho(n, None) == brent_rho_reference(n, None), (p, q)
+
+    def test_ninety_bit_semiprime(self):
+        # the four differences multiplied before one reduction reach five
+        # times the bit length of n
+        p, q = 16777259, 1180591620717411303449
+        assert is_prime_oracle(p) and is_prime_oracle(q)
+        n = p * q
+        assert n.bit_length() == 95
+        _, steps = brent_rho_reference(n, None)
+        for budget in (steps // 2, steps - 1, steps, None):
+            assert arith._brent_rho(n, budget) == brent_rho_reference(n, budget), budget
+        assert arith._brent_rho(n, None)[0] in (p, q)
+
 
 class TestIndexFactors:
     def test_trial_division_stops_at_sqrt(self, monkeypatch):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from zsig import cli
 from zsig.cli import ScanConfig, main, run_scan
 from zsig.zsigmondy import _NO_EXCEPTION, ExceptionCase
 
@@ -255,6 +256,24 @@ class TestScan:
         pooled = run(capsys, *argv, "--jobs", "2")
         assert serial[1].count("\n") == 1 + 17 * 11  # header, 17 pairs * 11 exponents
         assert pooled == serial
+
+    def test_jobs_go_out_largest_a_first(self, monkeypatch):
+        # the costliest pairs go out first, so that a pool does not end on
+        # one worker's long tail; the rows still come back in (a, b, n) order
+        handed = []
+        real = cli._scan_pair
+
+        def recorded(job):
+            handed.append(job[:2])
+            return real(job)
+
+        monkeypatch.setattr(cli, "_scan_pair", recorded)
+        _, rows = run_scan(ScanConfig(9, 7))
+        pairs = cli.coprime_pairs(9)
+        assert handed == pairs[::-1]
+        assert handed[:3] == [(9, 8), (9, 7), (9, 5)]
+        keys = [(r.a, r.b, r.n) for r in rows]
+        assert keys == [(a, b, n) for a, b in pairs for n in range(2, 8)]
 
     def test_row_memory(self):
         # the scan's parent holds every row and pool workers fork from that

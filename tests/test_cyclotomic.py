@@ -17,7 +17,7 @@ from zsig.cyclotomic import (
     eval_recursive,
     product_identity_check,
 )
-from oracles import hom_value, naive_cyclotomic
+from oracles import hom_value, naive_cyclotomic, perfect_power_pairs
 
 
 def _inflate(coeffs, p):
@@ -306,6 +306,30 @@ class TestProductIdentity:
                     for d in divisors(n):
                         prod *= eval_homogeneous(d, a, b)
                     assert prod == a**n - b**n
+
+
+class TestPowerPieces:
+    def test_examples(self):
+        assert cyclotomic._power_pieces(19, 25, 4) == [(38, 5, 2), (19, 5, 2)]
+        # 16 = 4**2 = 2**4, and 2 | 2n after the first split
+        assert cyclotomic._power_pieces(29, 16, 1) == [(116, 2, 1), (58, 2, 1), (29, 2, 1)]
+        assert cyclotomic._power_pieces(6, 27, 8) == [(18, 3, 2)]
+        # no common exponent: 9 = 3**2 and 8 = 2**3
+        assert cyclotomic._power_pieces(5, 9, 8) == [(5, 9, 8)]
+        assert cyclotomic._power_pieces(7, 30, 1) == [(7, 30, 1)]
+
+    def test_pieces_multiply_to_the_value(self):
+        # Phi_n(s**p, t**p) = Phi_np(s, t) * Phi_n(s, t) for p not dividing
+        # n, and Phi_np(s, t) for p | n, checked against the naive oracle
+        pairs = perfect_power_pairs(30)
+        assert len(pairs) == 17 and (9, 8) in pairs and (27, 16) in pairs
+        for a, b in pairs:
+            for n in range(2, 41):
+                pieces = cyclotomic._power_pieces(n, a, b)
+                prod = 1
+                for m, s, t in pieces:
+                    prod *= cyclotomic._eval_homogeneous(m, s, t)
+                assert prod == hom_value(n, a, b), (a, b, n, pieces)
 
 
 class TestBounds:

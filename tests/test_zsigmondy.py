@@ -23,7 +23,7 @@ from zsig.zsigmondy import (
     sufficiency_check,
     _phi_divisors,
 )
-from oracles import brute_zsigmondy
+from oracles import brute_zsigmondy, perfect_power_pairs
 
 
 def _coprime_pairs(a_max):
@@ -51,7 +51,7 @@ class TestPhiTrialDivision:
             for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 15, 16, 21, 22, 25, 26, 32):
                 value = eval_homogeneous(n, a, b)
                 for effort in efforts:
-                    fac = arith._factor(value, effort, _phi_divisors(n))
+                    fac = arith._factor(value, effort, [(value, _phi_divisors(n))])
                     assert fac == factorize(value, effort), (a, b, n, effort)
 
     def test_analyze_builds_no_value_sieve(self, monkeypatch):
@@ -63,6 +63,50 @@ class TestPhiTrialDivision:
         assert rep.factorization_complete
         assert multiplicative_order(29, 30, 1) == 1
         assert len(arith._sieve_flags) <= 1024
+
+
+class TestPowerPieces:
+    def test_pieces_match_unsplit_factoring(self):
+        # analyze factors Phi_n(s**p, t**p) as its pieces; wherever the
+        # unsplit value factors completely under the same effort, so do
+        # the pieces, into the same factors, and some only the pieces do
+        effort = Effort(2000, 100_000)
+        split_only = 0
+        for a, b in perfect_power_pairs(30):
+            for n in range(2, 41):
+                rep = analyze(Triple(a, b, n), effort)
+                value = rep.phi_value
+                unsplit = arith._factor(value, effort, [(value, _phi_divisors(n))])
+                if unsplit.complete:
+                    assert rep.phi_factors == unsplit, (a, b, n)
+                else:
+                    split_only += rep.factorization_complete
+        assert split_only > 0
+
+    def test_one_budget_across_pieces(self, monkeypatch):
+        # Phi_29(16, 1) = Phi_116(2, 1) * Phi_58(2, 1) * Phi_29(2, 1), and
+        # rho works on all three pieces: each call gets what the earlier
+        # calls left of the value's one budget, not a budget of its own
+        calls = []
+        real = arith._brent_rho
+
+        def recorded(y, budget):
+            g, used = real(y, budget)
+            calls.append((y, budget, used))
+            return g, used
+
+        monkeypatch.setattr(arith, "_brent_rho", recorded)
+        rep = analyze(Triple(16, 1, 29), Effort(7, 1000))
+        assert not rep.factorization_complete
+        spent = 0
+        for _, budget, used in calls:
+            assert budget == 1000 - spent
+            spent += used
+        assert spent > 1000  # the last call ran the shared budget out
+        pieces = [_eval_homogeneous(*p) for p in cyclotomic._power_pieces(29, 16, 1)]
+        assert len(pieces) == 3
+        worked = {i for y, _, _ in calls for i, v in enumerate(pieces) if v % y == 0}
+        assert worked == {0, 1, 2}
 
 
 class TestBruteForceEquivalence:
