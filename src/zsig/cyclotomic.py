@@ -11,7 +11,7 @@ through its own identity:
   odd n, and over d | rad(m) of (a**(n/2d) + b**(n/2d))**mu(d), half the
   terms, at even n = 2**k * m, m odd, since Phi_2m(x) = Phi_m(-x) for odd
   m > 1 and Phi_2(x) = x + 1; the exponents are split by the sign of
-  mu(d) and cached per index;
+  mu(d) and kept per index, with P(n), in one record;
   callers that have validated once use the unchecked _eval_homogeneous;
 - eval_mobius: the same product taken from the definition, walking every
   divisor of n and its Moebius value on each call, with no cache;
@@ -31,29 +31,24 @@ from typing import NamedTuple
 from .arith import _index_factors, _iroot, _primes_up_to, _Validated, divisors, euler_phi, mobius
 
 
-def _check(a: int, b: int, n: int) -> None:
-    """Raise ValueError unless (a, b, n) is coprime, ordered, positive."""
-    if b < 1:
-        raise ValueError("b must be at least 1")
-    if a <= b:
-        raise ValueError("a must exceed b")
-    if math.gcd(a, b) != 1:
-        raise ValueError("a and b must be coprime")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-
-
 class Triple(
     _Validated, NamedTuple("_TripleFields", [("a", int), ("b", int), ("n", int)])
 ):
     """A validated input (a, b, n): coprime, ordered, positive.  A tuple
     record; the constructor, _make, _replace, copy and unpickling all
-    run _check."""
+    validate, and the public evaluators validate by constructing one."""
 
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, n: int) -> Triple:
-        _check(a, b, n)
+        if b < 1:
+            raise ValueError("b must be at least 1")
+        if a <= b:
+            raise ValueError("a must exceed b")
+        if math.gcd(a, b) != 1:
+            raise ValueError("a and b must be coprime")
+        if n < 1:
+            raise ValueError("n must be at least 1")
         return tuple.__new__(cls, (a, b, n))
 
 
@@ -97,28 +92,34 @@ def _div_binomial(poly: list[int], k: int) -> list[int]:
     return q
 
 
-_coeff_cache: dict[int, IntPoly] = {}
-_split_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
 # indices above this are computed on demand and not retained
 COEFF_CACHE_LIMIT = 4096
 
 
-def _mobius_split(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The exponents e of n's divisor product, split by the sign of mu(d):
-    e = n/d over the squarefree d | n at odd n (terms a**e - b**e), and
-    e = n/2d over the squarefree d | m at even n = 2**k * m (a**e + b**e)."""
-    split = _split_cache.get(n)
-    if split is not None:
-        return split
-    even = n % 2 == 0
-    plus, minus = [n // 2 if even else n], []
-    for p, _ in _index_factors(n)[even:]:
-        plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
-    split = (tuple(plus), tuple(minus))
-    if n <= COEFF_CACHE_LIMIT:
-        _split_cache[n] = split
-    return split
+class _IndexRecords(dict):
+    """n -> (odd, plus, minus, top), what the evaluator and the decision
+    read of index n: its parity, the exponents e of its divisor product
+    split by the sign of mu(d), and P(n), its largest prime (None at
+    n = 1).  At odd n, e = n/d over the squarefree d | n (terms
+    a**e - b**e); at even n = 2**k * m, m odd, e = n/2d over the
+    squarefree d | m (terms a**e + b**e).  A plain tuple, since it
+    unpacks faster than a named one.  A missing record is built on
+    lookup, and kept for n <= COEFF_CACHE_LIMIT."""
+
+    def __missing__(self, n: int) -> tuple[bool, tuple[int, ...], tuple[int, ...], int | None]:
+        factors = _index_factors(n)
+        odd = n % 2 == 1
+        plus, minus = [n if odd else n // 2], []
+        for p, _ in factors[not odd:]:
+            plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
+        record = (odd, tuple(plus), tuple(minus), factors[-1][0] if factors else None)
+        if n <= COEFF_CACHE_LIMIT:
+            self[n] = record
+        return record
+
+
+_coeff_cache: dict[int, IntPoly] = {}
+_index_records = _IndexRecords()
 
 
 def cyclotomic_coeffs(n: int) -> IntPoly:
@@ -150,7 +151,7 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
         deg = len(base) - 1
         poly = IntPoly(tuple(-c if (deg - i) % 2 else c for i, c in enumerate(base)))
     else:
-        nums, dens = _mobius_split(n)
+        _, nums, dens, _ = _index_records[n]
         work = [1]
         for k in nums:
             work = _mul_binomial(work, k)
@@ -167,15 +168,16 @@ def eval_homogeneous(n: int, a: int, b: int) -> int:
     the cached Moebius exponent split of n, with one exact division at the
     end: of a**e - b**e, e = n/d, d | rad(n) at odd n, and of a**e + b**e,
     e = n/2d, d | rad(m), half as many terms, at even n = 2**k * m, m odd."""
-    _check(a, b, n)
+    Triple(a, b, n)
     return _eval_homogeneous(n, a, b)
 
 
-def _eval_homogeneous(n: int, a: int, b: int) -> int:
-    # eval_homogeneous without validation, for arguments already checked
-    plus, minus = _mobius_split(n)
+def _eval_homogeneous(n: int, a: int, b: int, record: tuple | None = None) -> int:
+    # eval_homogeneous without validation, for arguments already checked;
+    # a caller that holds n's record passes it
+    odd, plus, minus, _ = record or _index_records[n]
     num = den = 1
-    if n % 2:
+    if odd:
         for e in plus:
             num *= a**e - b**e
         for e in minus:
@@ -211,7 +213,7 @@ def eval_mobius(n: int, a: int, b: int) -> int:
     """Same value via the divisor product of (a**d - b**d) terms raised to
     the Moebius sign, kept as one numerator and one denominator with a
     single exact division at the end."""
-    _check(a, b, n)
+    Triple(a, b, n)
     num = 1
     den = 1
     for d in divisors(n):
@@ -234,7 +236,7 @@ def eval_recursive(n: int, a: int, b: int) -> int:
     """Same value by index reduction: replace (a, b) by prime-power powers
     until the index is squarefree, then split off one prime at a time via
     the quotient of values at (a**p, b**p) and (a, b)."""
-    _check(a, b, n)
+    Triple(a, b, n)
     return _eval_reduced(n, a, b)
 
 
@@ -256,7 +258,7 @@ def _eval_reduced(n: int, a: int, b: int) -> int:
 
 def product_identity_check(n: int, a: int, b: int) -> bool:
     """True iff the divisor-indexed values multiply to a**n - b**n."""
-    _check(a, b, n)
+    Triple(a, b, n)
     prod = 1
     for d in divisors(n):
         prod *= _eval_homogeneous(d, a, b)
@@ -265,7 +267,7 @@ def product_identity_check(n: int, a: int, b: int) -> bool:
 
 def bounds_check(n: int, a: int, b: int) -> bool:
     """Strict two-sided bound: (a-b)**phi < value < (a+b)**phi, n >= 3."""
-    _check(a, b, n)
+    Triple(a, b, n)
     if n < 3:
         raise ValueError("the strict bounds need n >= 3")
     value = _eval_homogeneous(n, a, b)

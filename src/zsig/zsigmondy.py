@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
 from .arith import _factor, _index_factors, _trial_divide, _Validated
-from .cyclotomic import COEFF_CACHE_LIMIT, Triple, _eval_homogeneous, _power_pieces
+from .cyclotomic import Triple, _eval_homogeneous, _index_records, _power_pieces
 from .cyclotomic import cyclotomic_coeffs
 from .valuation import multiplicative_order, vp_cyclotomic
 
@@ -63,6 +63,10 @@ class ExceptionKind(Enum):
     PAIR_2_1_N10_12_18 = "pair_2_1_n10_12_18"
 
 
+# read per is_exception call: the class attribute lookup costs more
+_KIND_NONE = ExceptionKind.NONE
+
+
 class ExceptionCase(NamedTuple):
     kind: ExceptionKind
     s: int | None = None
@@ -71,7 +75,7 @@ class ExceptionCase(NamedTuple):
 
     @property
     def is_exception(self) -> bool:
-        return self.kind is not ExceptionKind.NONE
+        return self.kind is not _KIND_NONE
 
     def witness(self) -> dict:
         out: dict = {}
@@ -208,10 +212,6 @@ def classify_prime_divisor(p: int, t: Triple) -> PrimeDivisorClass:
     raise ValueError("prime divisor fits no case; this contradicts the theory")
 
 
-# P(n) for each index n >= 2 the decision has seen, up to COEFF_CACHE_LIMIT
-_top_prime: dict[int, int] = {}
-
-
 def has_large_zsigmondy_fast(t: Triple) -> FastDecision:
     """Factorization-free existence decision for a large Zsigmondy prime.
 
@@ -225,14 +225,11 @@ def has_large_zsigmondy_fast(t: Triple) -> FastDecision:
     n + 1 or a repeated prime, either of which is large.
     """
     a, b, n = t
-    p = _top_prime.get(n)
-    if p is None:
-        if n < 2:
-            raise ValueError("the decision needs n >= 2")
-        p = _index_factors(n)[-1][0]
-        if n <= COEFF_CACHE_LIMIT:
-            _top_prime[n] = p
-    value = _eval_homogeneous(n, a, b)
+    if n < 2:
+        raise ValueError("the decision needs n >= 2")
+    record = _index_records[n]
+    p = record[3]
+    value = _eval_homogeneous(n, a, b, record)
     removed_exp = 0
     residual = value
     while residual % p == 0:
@@ -260,9 +257,11 @@ def classify_exception(t: Triple) -> ExceptionCase:
     n = 2), so comparing it against computed existence is a genuine
     cross-check of the table, not a circular one.
     """
-    a, b, n = t.a, t.b, t.n
-    if n < 2:
-        raise ValueError("the exception table starts at n = 2")
+    a, b, n = t
+    if n not in {2, 4, 6, 10, 12, 18}:  # the indices with a table row
+        if n < 2:
+            raise ValueError("the exception table starts at n = 2")
+        return _NO_EXCEPTION
     if n == 2:
         s = vp(a + b, 2)
         odd = (a + b) >> s

@@ -4,7 +4,7 @@ from math import gcd as _gcd
 
 import pytest
 
-from zsig import cyclotomic
+from zsig import cli, cyclotomic
 from zsig.arith import divisors, euler_phi, mobius, totient_sieve
 from zsig.cyclotomic import (
     COEFF_CACHE_LIMIT,
@@ -108,6 +108,35 @@ class TestTriple:
         with pytest.raises(ValueError):
             Triple(-4, 1, 3)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((2, 0, 0), "b must be at least 1"),
+            ((3, 3, 0), "a must exceed b"),
+            ((6, 3, 0), "a and b must be coprime"),
+            ((2, 1, 0), "n must be at least 1"),
+        ],
+    )
+    def test_messages_in_order(self, bad, message):
+        # each input breaks its own rule and every later one, so the
+        # message says which rule is checked first
+        a, b, n = bad
+        for make in (lambda: Triple(a, b, n), lambda: eval_homogeneous(n, a, b),
+                     lambda: eval_mobius(n, a, b), lambda: eval_recursive(n, a, b),
+                     lambda: product_identity_check(n, a, b), lambda: bounds_check(n, a, b)):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze", "6", "3", "5"], ["eval", "5", "6", "3"]]
+    )
+    def test_cli_rejects_with_the_message(self, capsys, argv):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: a and b must be coprime\n"
+
     @pytest.mark.parametrize("bad", [(0, 0, 0), (4, 2, 3), (2, 3, 1)])
     def test_every_construction_path_validates(self, bad):
         # a record forged past __new__, to show copy and pickle re-check it
@@ -209,38 +238,22 @@ class TestDivisorProduct:
             for a, b in ((2, 1), (3, 2), (7, 1), (11, 6)):
                 assert eval_homogeneous(n, a, b) == hom_value(n, a, b)
 
-    def test_split_cache_stops_at_limit(self):
-        # one cache of exponent splits, bounded for even and odd indices
-        # alike; the other module-level dict holds coefficient vectors
-        above = {4100, 4101, 4102, 8190}
-        for n in above:
-            eval_homogeneous(n, 3, 2)
-        cyclotomic_coeffs(4372)
-        eval_homogeneous(COEFF_CACHE_LIMIT, 3, 2)
-        eval_homogeneous(COEFF_CACHE_LIMIT - 1, 3, 2)
-        assert not above & cyclotomic._split_cache.keys()
-        assert {COEFF_CACHE_LIMIT, COEFF_CACHE_LIMIT - 1} <= cyclotomic._split_cache.keys()
-        assert max(cyclotomic._split_cache) <= COEFF_CACHE_LIMIT
-        caches = [
-            k for k, v in vars(cyclotomic).items()
-            if isinstance(v, dict) and not k.startswith("__")
-        ]
-        assert sorted(caches) == ["_coeff_cache", "_split_cache"]
-
     def test_coefficients_split_only_odd_squarefree_indices(self, monkeypatch):
         # an even index's split holds the a**e + b**e form, which the
         # coefficient build never reads
-        monkeypatch.setattr(cyclotomic, "_split_cache", {})
+        monkeypatch.setattr(cyclotomic, "_index_records", cyclotomic._IndexRecords())
         monkeypatch.setattr(cyclotomic, "_coeff_cache", {})
         for n in range(1, 301):
             cyclotomic_coeffs(n)
-        assert cyclotomic._split_cache
-        assert all(n % 2 and mobius(n) for n in cyclotomic._split_cache)
+        assert cyclotomic._index_records
+        assert all(n % 2 and mobius(n) for n in cyclotomic._index_records)
 
     @pytest.mark.parametrize("n, split", [(9, ((9,), (2,))), (10, ((5,), (2,)))])
     def test_inexact_division_raises(self, monkeypatch, n, split):
         # a wrong split is caught by the exact division, in either form
-        monkeypatch.setattr(cyclotomic, "_split_cache", {n: split})
+        odd, _, _, top = cyclotomic._index_records[n]
+        record = (odd, *split, top)
+        monkeypatch.setattr(cyclotomic, "_index_records", cyclotomic._IndexRecords({n: record}))
         with pytest.raises(ArithmeticError, match="divisor product did not divide exactly"):
             eval_homogeneous(n, 3, 2)
 

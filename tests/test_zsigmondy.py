@@ -8,6 +8,7 @@ from zsig.cyclotomic import (
     COEFF_CACHE_LIMIT,
     Triple,
     _eval_homogeneous,
+    cyclotomic_coeffs,
     eval_homogeneous,
     eval_mobius,
 )
@@ -245,14 +246,15 @@ class TestFastDecision:
             has_large_zsigmondy_fast(Triple(2, 1, 1))
 
     def test_validates_once(self, monkeypatch):
+        # the Triple's construction is the one validation
         calls = []
-        check = cyclotomic._check
+        new = Triple.__new__
 
-        def counted(a, b, n):
+        def counted(cls, a, b, n):
             calls.append((a, b, n))
-            return check(a, b, n)
+            return new(cls, a, b, n)
 
-        monkeypatch.setattr(cyclotomic, "_check", counted)
+        monkeypatch.setattr(Triple, "__new__", counted)
         has_large_zsigmondy_fast(Triple(3, 2, 10))
         assert calls == [(3, 2, 10)]
 
@@ -302,20 +304,40 @@ class TestDecisionReference:
                 assert type(d) is FastDecision
                 assert d._asdict() == self._reference(a, b, n)
 
-    def test_top_prime_lookup_is_bounded(self):
+    def test_index_record_is_bounded(self):
+        # one per-index record serves the evaluator and the decision, kept
+        # up to the limit; indices above it are evaluated and decided alike
         limit = COEFF_CACHE_LIMIT
-        for n in (limit - 1, limit, limit + 1, limit + 4, 3 * limit):
+        above = {4100, 4101, 4102, 8190}
+        for n in sorted(above) + [limit - 1, limit]:
+            assert eval_homogeneous(n, 3, 2) == eval_mobius(n, 3, 2)
             d = has_large_zsigmondy_fast(Triple(3, 2, n))
             assert d == tuple(self._reference(3, 2, n).values())
-        assert {limit - 1, limit} <= zsigmondy._top_prime.keys()
-        assert max(zsigmondy._top_prime) <= limit
+        cyclotomic_coeffs(4372)
+        assert not above & cyclotomic._index_records.keys()
+        assert {limit - 1, limit} <= cyclotomic._index_records.keys()
+        assert max(cyclotomic._index_records) <= limit
+        # the module-level dicts of both modules, by name: zsigmondy's
+        # only one is cyclotomic's record, imported
+        caches = {
+            k: v for module in (cyclotomic, zsigmondy)
+            for k, v in vars(module).items()
+            if isinstance(v, dict) and not k.startswith("__")
+        }
+        assert sorted(caches) == ["_coeff_cache", "_index_records"]
+        assert caches["_index_records"] is cyclotomic._index_records
 
     def test_rejects_n1_once_warm(self):
+        # n = 1 has a record (P(1) is None) once the evaluator or the
+        # coefficient build has read it; the decision still refuses n = 1
+        # before reading any record
+        eval_homogeneous(1, 2, 1)
+        cyclotomic_coeffs(1)
+        assert cyclotomic._index_records[1] == (True, (1,), (), None)
         has_large_zsigmondy_fast(Triple(2, 1, 2))
         for _ in range(2):
             with pytest.raises(ValueError, match="the decision needs n >= 2"):
                 has_large_zsigmondy_fast(Triple(2, 1, 1))
-        assert 1 not in zsigmondy._top_prime
 
 
 class TestSufficiency:
@@ -533,9 +555,9 @@ class TestAnalyze:
     def test_evaluates_phi_once(self, monkeypatch):
         calls = []
 
-        def counted(n, a, b):
+        def counted(n, a, b, record=None):
             calls.append((n, a, b))
-            return _eval_homogeneous(n, a, b)
+            return _eval_homogeneous(n, a, b, record)
 
         monkeypatch.setattr("zsig.zsigmondy._eval_homogeneous", counted)
         analyze(Triple(3, 2, 10))
