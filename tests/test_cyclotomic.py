@@ -238,6 +238,25 @@ class TestDivisorProduct:
             for a, b in ((2, 1), (3, 2), (7, 1), (11, 6)):
                 assert eval_homogeneous(n, a, b) == hom_value(n, a, b)
 
+    def test_split_cache_stops_at_limit(self):
+        # one per-index record holds the exponent splits, bounded for even
+        # and odd indices alike; the other module-level dict holds
+        # coefficient vectors
+        above = {4100, 4101, 4102, 8190}
+        for n in above:
+            assert eval_homogeneous(n, 3, 2) == eval_mobius(n, 3, 2)
+        cyclotomic_coeffs(4372)
+        eval_homogeneous(COEFF_CACHE_LIMIT, 3, 2)
+        eval_homogeneous(COEFF_CACHE_LIMIT - 1, 3, 2)
+        assert not above & cyclotomic._index_records.keys()
+        assert {COEFF_CACHE_LIMIT, COEFF_CACHE_LIMIT - 1} <= cyclotomic._index_records.keys()
+        assert max(cyclotomic._index_records) <= COEFF_CACHE_LIMIT
+        caches = [
+            k for k, v in vars(cyclotomic).items()
+            if isinstance(v, dict) and not k.startswith("__")
+        ]
+        assert sorted(caches) == ["_coeff_cache", "_index_records"]
+
     def test_coefficients_split_only_odd_squarefree_indices(self, monkeypatch):
         # an even index's split holds the a**e + b**e form, which the
         # coefficient build never reads

@@ -304,28 +304,21 @@ class TestDecisionReference:
                 assert type(d) is FastDecision
                 assert d._asdict() == self._reference(a, b, n)
 
-    def test_index_record_is_bounded(self):
-        # one per-index record serves the evaluator and the decision, kept
-        # up to the limit; indices above it are evaluated and decided alike
+    def test_top_prime_lookup_is_bounded(self):
+        # P(n) comes from cyclotomic's per-index record, kept up to the
+        # limit; indices above it are decided alike
         limit = COEFF_CACHE_LIMIT
-        above = {4100, 4101, 4102, 8190}
-        for n in sorted(above) + [limit - 1, limit]:
-            assert eval_homogeneous(n, 3, 2) == eval_mobius(n, 3, 2)
+        for n in (limit - 1, limit, limit + 1, limit + 4, 3 * limit):
             d = has_large_zsigmondy_fast(Triple(3, 2, n))
             assert d == tuple(self._reference(3, 2, n).values())
-        cyclotomic_coeffs(4372)
-        assert not above & cyclotomic._index_records.keys()
         assert {limit - 1, limit} <= cyclotomic._index_records.keys()
         assert max(cyclotomic._index_records) <= limit
-        # the module-level dicts of both modules, by name: zsigmondy's
-        # only one is cyclotomic's record, imported
-        caches = {
-            k: v for module in (cyclotomic, zsigmondy)
-            for k, v in vars(module).items()
+        # zsigmondy's only module-level dict is cyclotomic's record, imported
+        caches = [
+            v for k, v in vars(zsigmondy).items()
             if isinstance(v, dict) and not k.startswith("__")
-        }
-        assert sorted(caches) == ["_coeff_cache", "_index_records"]
-        assert caches["_index_records"] is cyclotomic._index_records
+        ]
+        assert len(caches) == 1 and caches[0] is cyclotomic._index_records
 
     def test_rejects_n1_once_warm(self):
         # n = 1 has a record (P(1) is None) once the evaluator or the
