@@ -144,13 +144,15 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[Sca
     pairs = coprime_pairs(config.a_max)
     jobs = [(a, b, config.n_max, config.effort) for (a, b) in reversed(pairs)]
     chunks: list[list[ScanRow]] = []
+    # a fork pool starts every worker at once, so it gets no more than there are jobs
+    workers = min(config.parallelism, len(jobs))
     with contextlib.ExitStack() as stack:
         mapper = map
-        if config.parallelism > 1:
+        if workers > 1:
             # imported here, so that commands that never fork skip multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=config.parallelism)
+            pool = ProcessPoolExecutor(max_workers=workers)
             mapper = stack.enter_context(pool).map
         for i, chunk in enumerate(mapper(_scan_pair, jobs), 1):
             chunks.append(chunk)

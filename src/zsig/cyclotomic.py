@@ -13,6 +13,7 @@ through its own identity:
   m > 1 and Phi_2(x) = x + 1; the exponents are split by the sign of
   mu(d) and kept per index, with P(n), in one record;
   callers that have validated once use the unchecked _eval_homogeneous;
+  cyclotomic_coeffs takes the same product over the same record in x;
 - eval_mobius: the same product taken from the definition, walking every
   divisor of n and its Moebius value on each call, with no cache;
 - eval_recursive: index reduction, Phi_{n}(a, b) = Phi_{rad n}(a**s, b**s)
@@ -20,7 +21,8 @@ through its own identity:
   for a prime p not dividing m.
 
 Horner evaluation of the coefficient vector serves the modular value in
-zsigmondy._phi_mod and the tests.
+zsigmondy._phi_mod and the tests; it is not independent of
+eval_homogeneous, since both read one record through one identity.
 """
 
 from __future__ import annotations
@@ -69,42 +71,44 @@ class IntPoly(_Validated, NamedTuple("_IntPolyFields", [("coeffs", tuple[int, ..
         return len(self.coeffs) - 1
 
 
-def _mul_binomial(poly: list[int], k: int) -> list[int]:
-    # poly * (x**k - 1)
+def _mul_binomial(poly: list[int], k: int, c: int) -> list[int]:
+    # poly * (x**k + c)
     out = [0] * (len(poly) + k)
-    for i, c in enumerate(poly):
-        out[i + k] += c
-        out[i] -= c
+    for i, coef in enumerate(poly):
+        out[i + k] += coef
+        out[i] += c * coef
     return out
 
 
-def _div_binomial(poly: list[int], k: int) -> list[int]:
-    # poly // (x**k - 1), exact; the low-order remainder terms are checked
+def _div_binomial(poly: list[int], k: int, c: int) -> list[int]:
+    # poly // (x**k + c), exact; the low-order remainder terms are checked
     deg = len(poly) - 1
     q = [0] * (deg - k + 1)
     for i in range(deg - k, -1, -1):
         above = q[i + k] if i + k < len(q) else 0
-        q[i] = poly[i + k] + above
+        q[i] = poly[i + k] - c * above
     for j in range(min(k, len(poly))):
-        expected = -q[j] if j < len(q) else 0
+        expected = c * q[j] if j < len(q) else 0
         if poly[j] != expected:
             raise AssertionError("binomial division left a remainder")
     return q
 
 
-# indices above this are computed on demand and not retained
-COEFF_CACHE_LIMIT = 4096
+# indices above this get a record on demand that is not retained
+INDEX_RECORD_LIMIT = 4096
 
 
 class _IndexRecords(dict):
-    """n -> (odd, plus, minus, top), what the evaluator and the decision
-    read of index n: its parity, the exponents e of its divisor product
-    split by the sign of mu(d), and P(n), its largest prime (None at
-    n = 1).  At odd n, e = n/d over the squarefree d | n (terms
-    a**e - b**e); at even n = 2**k * m, m odd, e = n/2d over the
-    squarefree d | m (terms a**e + b**e).  A plain tuple, since it
-    unpacks faster than a named one.  A missing record is built on
-    lookup, and kept for n <= COEFF_CACHE_LIMIT."""
+    """n -> (odd, plus, minus, top), what the coefficient build, the
+    evaluator and the decision read of index n: its parity, the exponents
+    e of its divisor product split by the sign of mu(d), and P(n), its
+    largest prime (None at n = 1).  Both builds take the one identity
+    Phi_n = prod over plus of (x**e + c) / prod over minus of (x**e + c),
+    with c = -1 at odd n and c = +1 at even n, in x or at x = a/b.  At odd
+    n, e = n/d over the squarefree d | n; at even n = 2**k * m, m odd,
+    e = n/2d over the squarefree d | m.  A plain tuple, since it unpacks
+    faster than a named one.  A missing record is built on lookup, and
+    kept for n <= INDEX_RECORD_LIMIT."""
 
     def __missing__(self, n: int) -> tuple[bool, tuple[int, ...], tuple[int, ...], int | None]:
         factors = _index_factors(n)
@@ -113,54 +117,34 @@ class _IndexRecords(dict):
         for p, _ in factors[not odd:]:
             plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
         record = (odd, tuple(plus), tuple(minus), factors[-1][0] if factors else None)
-        if n <= COEFF_CACHE_LIMIT:
+        if n <= INDEX_RECORD_LIMIT:
             self[n] = record
         return record
 
 
-_coeff_cache: dict[int, IntPoly] = {}
 _index_records = _IndexRecords()
 
 
 def cyclotomic_coeffs(n: int) -> IntPoly:
-    """Exact coefficient vector of the n-th cyclotomic polynomial.
-
-    The index is first reduced to its radical (the polynomial at n is the
-    one at rad(n) with x replaced by a power).  An even squarefree 2m takes
-    m's coefficients with alternating signs, and an odd squarefree one is
-    assembled from the divisor products of x**d - 1 via inclusion-exclusion
-    on the Moebius function.  All arithmetic is exact; every binomial
-    division checks its remainder.
+    """Exact coefficient vector of the n-th cyclotomic polynomial, the
+    divisor product over n's record.  Every exponent is a multiple of
+    their gcd s, so the product is taken in y = x**s and then spread out
+    by s, which keeps large non-squarefree n cheap.  All arithmetic is
+    exact; every binomial division checks its remainder.
     """
     if n < 1:
         raise ValueError("index must be a positive integer")
-    cached = _coeff_cache.get(n)
-    if cached is not None:
-        return cached
-    rad = math.prod(p for p, _ in _index_factors(n))
-    if rad != n:
-        base = cyclotomic_coeffs(rad).coeffs
-        stretch = n // rad
-        out = [0] * ((len(base) - 1) * stretch + 1)
-        for i, c in enumerate(base):
-            out[i * stretch] = c
-        poly = IntPoly(tuple(out))
-    elif n % 2 == 0:
-        # Phi_2m(x) = (-1)**phi(m) * Phi_m(-x): the leading sign is kept
-        base = cyclotomic_coeffs(n // 2).coeffs
-        deg = len(base) - 1
-        poly = IntPoly(tuple(-c if (deg - i) % 2 else c for i, c in enumerate(base)))
-    else:
-        _, nums, dens, _ = _index_records[n]
-        work = [1]
-        for k in nums:
-            work = _mul_binomial(work, k)
-        for k in dens:
-            work = _div_binomial(work, k)
-        poly = IntPoly(tuple(work))
-    if n <= COEFF_CACHE_LIMIT:
-        _coeff_cache[n] = poly
-    return poly
+    odd, plus, minus, _ = _index_records[n]
+    c = -1 if odd else 1
+    s = math.gcd(*plus, *minus)
+    work = [1]
+    for e in plus:
+        work = _mul_binomial(work, e // s, c)
+    for e in minus:
+        work = _div_binomial(work, e // s, c)
+    out = [0] * ((len(work) - 1) * s + 1)
+    out[::s] = work
+    return IntPoly(tuple(out))
 
 
 def eval_homogeneous(n: int, a: int, b: int) -> int:

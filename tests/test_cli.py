@@ -257,6 +257,40 @@ class TestScan:
         assert serial[1].count("\n") == 1 + 17 * 11  # header, 17 pairs * 11 exponents
         assert pooled == serial
 
+    def test_pool_gets_no_more_workers_than_pairs(self, capsys, monkeypatch):
+        # a fork pool starts all its workers at the first submit, so --jobs
+        # is capped by the number of (a, b) pairs, and one pair runs
+        # without a pool; the fake maps in-process and starts nothing
+        import concurrent.futures
+
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        argv = ["scan", "--n-max", "5"]
+        serial = json.loads(run(capsys, *argv, "--a-max", "2", "--jobs", "1")[1])
+        one_pair = json.loads(run(capsys, *argv, "--a-max", "2", "--jobs", "8")[1])
+        assert created == []
+        five_pairs = json.loads(run(capsys, *argv, "--a-max", "4", "--jobs", "8")[1])
+        assert created == [5]
+        assert one_pair["config"]["parallelism"] == five_pairs["config"]["parallelism"] == 8
+        for report in (serial, one_pair):
+            report["summary"].pop("elapsed_seconds")
+            report["config"].pop("parallelism")
+        assert one_pair == serial
+
     def test_jobs_go_out_largest_a_first(self, monkeypatch):
         # the costliest pairs go out first, so that a pool does not end on
         # one worker's long tail; the rows still come back in (a, b, n) order

@@ -5,9 +5,9 @@ from math import gcd as _gcd
 import pytest
 
 from zsig import cli, cyclotomic
-from zsig.arith import divisors, euler_phi, mobius, totient_sieve
+from zsig.arith import divisors, euler_phi, totient_sieve
 from zsig.cyclotomic import (
-    COEFF_CACHE_LIMIT,
+    INDEX_RECORD_LIMIT,
     IntPoly,
     Triple,
     bounds_check,
@@ -64,9 +64,15 @@ class TestCoefficients:
             assert poly.coeffs[-1] == 1
 
     def test_beyond_cache_limit(self):
-        poly = cyclotomic_coeffs(4372)  # 2^2 * 1093, larger than the memo keeps
+        poly = cyclotomic_coeffs(4372)  # 2^2 * 1093, above the record limit
         assert poly.degree == euler_phi(4372)
         assert poly.coeffs[-1] == 1
+        # above the limit the product is built in y = x**s and spread out;
+        # the index-n vector is the rad(n) vector in x**(n / rad(n))
+        for n, rad in ((4100, 410), (8190, 2730), (2310**2, 2310)):
+            assert n > INDEX_RECORD_LIMIT
+            lifted = _inflate(list(cyclotomic_coeffs(rad).coeffs), n // rad)
+            assert list(cyclotomic_coeffs(n).coeffs) == lifted
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -233,48 +239,48 @@ class TestDivisorProduct:
 
     def test_non_squarefree_and_uncached_indices(self):
         # 4100 = 2^2 * 5^2 * 41 lies above the cache limit
-        assert 4100 > COEFF_CACHE_LIMIT
+        assert 4100 > INDEX_RECORD_LIMIT
         for n in (8, 54, 64, 72, 4100):
             for a, b in ((2, 1), (3, 2), (7, 1), (11, 6)):
                 assert eval_homogeneous(n, a, b) == hom_value(n, a, b)
 
     def test_split_cache_stops_at_limit(self):
         # one per-index record holds the exponent splits, bounded for even
-        # and odd indices alike; the other module-level dict holds
-        # coefficient vectors
+        # and odd indices alike; it is cyclotomic's only module-level dict
         above = {4100, 4101, 4102, 8190}
         for n in above:
             assert eval_homogeneous(n, 3, 2) == eval_mobius(n, 3, 2)
         cyclotomic_coeffs(4372)
-        eval_homogeneous(COEFF_CACHE_LIMIT, 3, 2)
-        eval_homogeneous(COEFF_CACHE_LIMIT - 1, 3, 2)
+        eval_homogeneous(INDEX_RECORD_LIMIT, 3, 2)
+        eval_homogeneous(INDEX_RECORD_LIMIT - 1, 3, 2)
         assert not above & cyclotomic._index_records.keys()
-        assert {COEFF_CACHE_LIMIT, COEFF_CACHE_LIMIT - 1} <= cyclotomic._index_records.keys()
-        assert max(cyclotomic._index_records) <= COEFF_CACHE_LIMIT
+        assert {INDEX_RECORD_LIMIT, INDEX_RECORD_LIMIT - 1} <= cyclotomic._index_records.keys()
+        assert max(cyclotomic._index_records) <= INDEX_RECORD_LIMIT
         caches = [
             k for k, v in vars(cyclotomic).items()
             if isinstance(v, dict) and not k.startswith("__")
         ]
-        assert sorted(caches) == ["_coeff_cache", "_index_records"]
+        assert caches == ["_index_records"]
 
-    def test_coefficients_split_only_odd_squarefree_indices(self, monkeypatch):
-        # an even index's split holds the a**e + b**e form, which the
-        # coefficient build never reads
+    def test_coefficients_read_every_index_record(self, monkeypatch):
+        # the coefficient build reads n's own record at every index, odd
+        # or even, squarefree or not
         monkeypatch.setattr(cyclotomic, "_index_records", cyclotomic._IndexRecords())
-        monkeypatch.setattr(cyclotomic, "_coeff_cache", {})
         for n in range(1, 301):
             cyclotomic_coeffs(n)
-        assert cyclotomic._index_records
-        assert all(n % 2 and mobius(n) for n in cyclotomic._index_records)
+        assert sorted(cyclotomic._index_records) == list(range(1, 301))
 
     @pytest.mark.parametrize("n, split", [(9, ((9,), (2,))), (10, ((5,), (2,)))])
     def test_inexact_division_raises(self, monkeypatch, n, split):
-        # a wrong split is caught by the exact division, in either form
+        # a wrong split is caught by the exact division, in either form,
+        # by the evaluator and by the coefficient build alike
         odd, _, _, top = cyclotomic._index_records[n]
         record = (odd, *split, top)
         monkeypatch.setattr(cyclotomic, "_index_records", cyclotomic._IndexRecords({n: record}))
         with pytest.raises(ArithmeticError, match="divisor product did not divide exactly"):
             eval_homogeneous(n, 3, 2)
+        with pytest.raises(AssertionError, match="binomial division left a remainder"):
+            cyclotomic_coeffs(n)
 
 
 class TestEvenIndexForm:
@@ -293,7 +299,7 @@ class TestEvenIndexForm:
                     assert v == eval_mobius(n, a, b) == eval_recursive(n, a, b)
 
     def test_uncached_indices(self):
-        assert min(4100, 4102, 8190) > COEFF_CACHE_LIMIT
+        assert min(4100, 4102, 8190) > INDEX_RECORD_LIMIT
         for n in (4100, 4102, 8190):
             for a, b in ((2, 1), (3, 2), (7, 4)):
                 v = cyclotomic._eval_homogeneous(n, a, b)

@@ -5,7 +5,7 @@ import pytest
 from zsig import arith, cyclotomic, zsigmondy
 from zsig.arith import Effort, factorize, vp
 from zsig.cyclotomic import (
-    COEFF_CACHE_LIMIT,
+    INDEX_RECORD_LIMIT,
     Triple,
     _eval_homogeneous,
     cyclotomic_coeffs,
@@ -307,7 +307,7 @@ class TestDecisionReference:
     def test_top_prime_lookup_is_bounded(self):
         # P(n) comes from cyclotomic's per-index record, kept up to the
         # limit; indices above it are decided alike
-        limit = COEFF_CACHE_LIMIT
+        limit = INDEX_RECORD_LIMIT
         for n in (limit - 1, limit, limit + 1, limit + 4, 3 * limit):
             d = has_large_zsigmondy_fast(Triple(3, 2, n))
             assert d == tuple(self._reference(3, 2, n).values())
