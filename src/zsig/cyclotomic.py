@@ -20,9 +20,9 @@ through its own identity:
   with s = n / rad(n), and Phi_{mp}(a, b) = Phi_m(a**p, b**p) / Phi_m(a, b)
   for a prime p not dividing m.
 
-Horner evaluation of the coefficient vector serves the modular value in
-zsigmondy._phi_mod and the tests; it is not independent of
-eval_homogeneous, since both read one record through one identity.
+Horner evaluation of the coefficient vector, in the tests, is not
+independent of eval_homogeneous, since both read one record through one
+identity.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
 from .arith import _factor, _index_factors, _trial_divide, _Validated
 from .cyclotomic import Triple, _eval_homogeneous, _index_records, _power_pieces
-from .cyclotomic import cyclotomic_coeffs
 from .valuation import multiplicative_order, vp_cyclotomic
 
 
@@ -90,6 +89,24 @@ class ExceptionCase(NamedTuple):
 
 # the frozen result shared by every triple the table does not list
 _NO_EXCEPTION = ExceptionCase(ExceptionKind.NONE)
+
+# The paper's table of the triples with no large Zsigmondy prime, as
+# (n, members, kind) rows.  A member is an (a, b) pair, except at n = 2,
+# where it is the odd part 3^t of a + b = 2^s * 3^t.  (2, 1, 6) sits in
+# two rows; the first one names it.
+EXCEPTION_TABLE = (
+    (2, (1,), ExceptionKind.SUM_POWER_OF_TWO),
+    (2, (3,), ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO),
+    (4, ((2, 1), (3, 1)), ExceptionKind.SMALL_PAIR_N4),
+    (6, ((2, 1),), ExceptionKind.TRIPLE_2_1_6),
+    (6, ((2, 1), (3, 1), (3, 2), (5, 4)), ExceptionKind.SMALL_PAIR_N6),
+    (10, ((2, 1),), ExceptionKind.PAIR_2_1_N10_12_18),
+    (12, ((2, 1),), ExceptionKind.PAIR_2_1_N10_12_18),
+    (18, ((2, 1),), ExceptionKind.PAIR_2_1_N10_12_18),
+)
+# read per lookup, before any row is scanned
+_TABLE_INDICES = frozenset(n for n, _, _ in EXCEPTION_TABLE)
+_TABLE_MEMBERS = frozenset((n, m) for n, members, _ in EXCEPTION_TABLE for m in members)
 
 
 class FastDecision(NamedTuple):
@@ -160,26 +177,13 @@ def _has_m_large(fast: FastDecision, n: int, multiplier: int) -> bool:
     The test stays exact, so its cost grows with the multiplier: it tries
     1 + k * lcm(2, n) up to min(multiplier * n + 1, sqrt(residual)), also
     when the factoring is complete, since analyze checks the factored
-    list against it.  `zsig analyze 13 4 31 --M 100000000 --trial-bound
-    1000 --rho-budget 100` takes 15-18 s against 0.2 s at --M 1000
-    (stdlib backend, Python 3.11.7, 2 cores).
+    list against it.
     """
     bound = multiplier * n + 1
     small = itertools.takewhile(bound.__ge__, _phi_divisors(n))
     found, rem = _trial_divide(fast.residual, small)
     # what is left is 1, a prime, or a product of primes beyond the bound
     return rem > bound or any(e > 1 for e in found.values())
-
-
-def _phi_mod(n: int, a: int, b: int, p: int) -> int:
-    # Horner evaluation of the homogeneous value mod p; avoids big integers
-    cs = cyclotomic_coeffs(n).coeffs
-    acc = cs[-1] % p
-    bpow = 1
-    for k in range(len(cs) - 2, -1, -1):
-        bpow = bpow * b % p
-        acc = (acc * a + cs[k] * bpow) % p
-    return acc
 
 
 def classify_prime_divisor(p: int, t: Triple) -> PrimeDivisorClass:
@@ -192,7 +196,7 @@ def classify_prime_divisor(p: int, t: Triple) -> PrimeDivisorClass:
     if not is_prime(p):
         raise ValueError("p must be prime")
     a, b, n = t.a, t.b, t.n
-    if _phi_mod(n, a, b, p) != 0:
+    if _eval_homogeneous(n, a, b) % p:
         raise ValueError("p does not divide the cyclotomic value")
     if p == 2:
         if n == 1:
@@ -251,37 +255,30 @@ def sufficiency_check(t: Triple) -> bool:
 
 
 def classify_exception(t: Triple) -> ExceptionCase:
-    """Pure table lookup: which known no-large-prime case the triple is.
+    """Pure table lookup: the first EXCEPTION_TABLE row that holds the
+    triple names it.
 
     Entirely syntactic (the only arithmetic is the odd part of a + b at
     n = 2), so comparing it against computed existence is a genuine
     cross-check of the table, not a circular one.
     """
     a, b, n = t
-    if n not in {2, 4, 6, 10, 12, 18}:  # the indices with a table row
+    if n not in _TABLE_INDICES:
         if n < 2:
             raise ValueError("the exception table starts at n = 2")
         return _NO_EXCEPTION
     if n == 2:
         s = vp(a + b, 2)
-        odd = (a + b) >> s
-        if odd == 1:
-            return ExceptionCase(ExceptionKind.SUM_POWER_OF_TWO, s=s, t=0)
-        if odd == 3:
-            return ExceptionCase(
-                ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO, s=s, t=1
-            )
+        member = (a + b) >> s
+    else:
+        member = (a, b)
+    if (n, member) not in _TABLE_MEMBERS:
         return _NO_EXCEPTION
-    if n == 4 and (a, b) in {(2, 1), (3, 1)}:
-        return ExceptionCase(ExceptionKind.SMALL_PAIR_N4, pair=(a, b))
-    if n == 6:
-        if (a, b) == (2, 1):
-            return ExceptionCase(ExceptionKind.TRIPLE_2_1_6, pair=(2, 1))
-        if (a, b) in {(3, 1), (3, 2), (5, 4)}:
-            return ExceptionCase(ExceptionKind.SMALL_PAIR_N6, pair=(a, b))
-    if n in {10, 12, 18} and (a, b) == (2, 1):
-        return ExceptionCase(ExceptionKind.PAIR_2_1_N10_12_18, pair=(2, 1))
-    return _NO_EXCEPTION
+    for m, members, kind in EXCEPTION_TABLE:
+        if m == n and member in members:
+            if n == 2:
+                return ExceptionCase(kind, s=s, t=vp(member, 3))
+            return ExceptionCase(kind, pair=member)
 
 
 def analyze(

@@ -1,7 +1,7 @@
 """README's figures about the reference scan, rebuilt from the committed
 record `reference_scan.json` and looked up in README.md, README's CLI
-examples run through the CLI, and README's Library block run through the
-library."""
+examples run through the CLI, README's Library block run through the
+library, and README's exception table read back against the literal."""
 
 import ast
 import json
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from zsig.cli import main
+from zsig.zsigmondy import EXCEPTION_TABLE, ExceptionKind
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -109,3 +110,30 @@ def test_readme_library_values():
     assert len(checked) == 6
     for source, token, shown in checked:
         assert token == shown, source
+
+
+FAMILY = re.compile(r"a \+ b = (?:(\d+)·)?2\^s")
+
+
+def _readme_table_rows():
+    """(n, members, kind) for each row of README's exception table: an
+    (a, b) pair per member, or at n = 2 the odd part of the a + b family."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## The exception table", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].isdigit():
+            continue
+        n, members, kind = cells
+        if m := FAMILY.fullmatch(members):
+            listed = (int(m.group(1) or 1),)
+        else:
+            listed = tuple(
+                (int(a), int(b)) for a, b in re.findall(r"\((\d+), (\d+)\)", members)
+            )
+        yield int(n), listed, ExceptionKind(kind.strip("`"))
+
+
+def test_readme_exception_table_matches_literal():
+    # row for row, in order, none missing and none extra
+    assert list(_readme_table_rows()) == list(EXCEPTION_TABLE)

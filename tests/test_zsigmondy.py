@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd as _gcd
 
 import pytest
@@ -14,6 +15,7 @@ from zsig.cyclotomic import (
 )
 from zsig.valuation import multiplicative_order
 from zsig.zsigmondy import (
+    EXCEPTION_TABLE,
     DivisorCase,
     ExceptionKind,
     FastDecision,
@@ -408,9 +410,42 @@ class TestDecisionSweep:
         triples = [Triple(a, 1, n) for a in range(2, 401) for n in range(3, 61)]
         feit = {(2, 4), (2, 6), (2, 10), (2, 12), (2, 18), (3, 4), (3, 6), (5, 6)}
         assert self._no_large(triples) == {(a, 1, n) for a, n in feit}
+        # the table's b = 1 rows from n = 3 are Feit's list but (5, 1, 6)
+        rows = {
+            (a, n)
+            for n, members, _ in EXCEPTION_TABLE
+            if n >= 3
+            for a, b in members
+            if b == 1
+        }
+        assert rows == feit - {(5, 6)}
 
 
 class TestClassifyException:
+    @staticmethod
+    def _expected(a, b, n):
+        """(kind, witness) from the odd part of a + b and
+        TestDecisionSweep.TABLE, without reading EXCEPTION_TABLE."""
+        if n == 2:
+            s = ((a + b) & -(a + b)).bit_length() - 1
+            odd = (a + b) >> s
+            if odd == 1:
+                return ExceptionKind.SUM_POWER_OF_TWO, {"s": s, "t": 0}
+            if odd == 3:
+                return ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO, {"s": s, "t": 1}
+            return ExceptionKind.NONE, {}
+        if (a, b, n) not in TestDecisionSweep.TABLE:
+            return ExceptionKind.NONE, {}
+        if (a, b, n) == (2, 1, 6):
+            kind = ExceptionKind.TRIPLE_2_1_6
+        elif n == 4:
+            kind = ExceptionKind.SMALL_PAIR_N4
+        elif n == 6:
+            kind = ExceptionKind.SMALL_PAIR_N6
+        else:
+            kind = ExceptionKind.PAIR_2_1_N10_12_18
+        return kind, {"pair": [a, b]}
+
     def test_examples(self):
         c = classify_exception(Triple(5, 4, 6))
         assert c.kind is ExceptionKind.SMALL_PAIR_N6
@@ -420,6 +455,11 @@ class TestClassifyException:
         assert not c.is_exception
         c = classify_exception(Triple(2, 1, 10))
         assert c.kind is ExceptionKind.PAIR_2_1_N10_12_18
+        # and every coprime a <= 120, 2 <= n <= 60
+        for a, b in _coprime_pairs(120):
+            for n in range(2, 61):
+                c = classify_exception(Triple(a, b, n))
+                assert (c.kind, c.witness()) == self._expected(a, b, n), (a, b, n)
 
     def test_n2_sum_of_two_powers(self):
         c = classify_exception(Triple(5, 3, 2))
@@ -439,6 +479,12 @@ class TestClassifyException:
         # all case wins over the small-pair row.
         c = classify_exception(Triple(2, 1, 6))
         assert c.kind is ExceptionKind.TRIPLE_2_1_6
+        # the literal's shape: every kind but NONE names a row, and
+        # (2,1,6) is the only triple in two rows
+        kinds = [kind for _, _, kind in EXCEPTION_TABLE]
+        assert set(kinds) == set(ExceptionKind) - {ExceptionKind.NONE}
+        listed = Counter((n, m) for n, members, _ in EXCEPTION_TABLE for m in members)
+        assert [key for key, count in listed.items() if count > 1] == [(6, (2, 1))]
 
     def test_n4_and_n6_pairs(self):
         assert classify_exception(Triple(3, 1, 4)).kind is ExceptionKind.SMALL_PAIR_N4
