@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .arith import Effort, _Validated, gcd
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
-from .zsigmondy import ExceptionCase, ZsigReport, analyze, classify_prime_divisor
+from .zsigmondy import ExceptionCase, ZsigReport, _classify_prime_divisor, analyze
 
 EXIT_OK = 0
 EXIT_EXCEPTION = 1
@@ -341,7 +341,7 @@ def _render_analyze_text(rep: ZsigReport) -> str:
         parts.append(f"[composite {fac.cofactor}]")
     lines.append("factors " + (" * ".join(parts) if parts else "1"))
     for p, _ in fac.factors:
-        cls = classify_prime_divisor(p, t)
+        cls = _classify_prime_divisor(p, t)
         lines.append(f"  {p}: {cls.case.value} (order {cls.k}, beta {cls.beta})")
     zs = ", ".join(f"{q} (exponent {e})" for q, e in rep.zsig_primes) or "none"
     lines.append(f"order-{t.n} primes: {zs}")

@@ -23,6 +23,9 @@ through its own identity:
 Horner evaluation of the coefficient vector, in the tests, is not
 independent of eval_homogeneous, since both read one record through one
 identity.
+
+For factoring, _power_pieces splits a value at a perfect-power pair and
+_aurifeuillian_pieces splits one into its Aurifeuillian factors L * M.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import _index_factors, _iroot, _primes_up_to, _Validated, divisors, euler_phi, mobius
+from .arith import _index_factors, _iroot, _primes_up_to, _Validated
+from .arith import divisors, euler_phi, mobius, vp
 
 
 class Triple(
@@ -191,6 +195,31 @@ def _power_pieces(n: int, a: int, b: int) -> list[tuple[int, int, int]]:
                 rest = [] if n % p == 0 else _power_pieces(n, s, t)
                 return _power_pieces(n * p, s, t) + rest
     return [(n, a, b)]
+
+
+def _aurifeuillian_pieces(n: int, a: int, b: int, value: int) -> list[int]:
+    """Phi_n(a, b) = value as its Aurifeuillian factors L and M, less a
+    factor equal to 1, when Schinzel's condition holds (1962): with k the
+    squarefree part of a*b, k = 1 (mod 4) and n/k odd, or k = 2, 3 (mod 4)
+    and n/2k odd; [value] otherwise.  The factors come from Brent's
+    identities in the aurifeuillian module, imported only here, so that a
+    command that meets no such value does not load it."""
+    x = a * b
+    # k holds primes of n only; the square test below rejects an a*b
+    # with another prime to an odd power
+    k = math.prod(p for p, _ in _index_factors(n) if vp(x, p) % 2)
+    base = k if k % 4 == 1 else 2 * k
+    if k == 1 or n % base or n // base % 2 == 0:
+        return [value]
+    w = math.isqrt(x // k)
+    if k * w * w != x:
+        return [value]
+    from .aurifeuillian import factors
+
+    low, high = factors(n, a, b, k, w)
+    if low * high != value:
+        raise ArithmeticError("Aurifeuillian factors do not multiply to the value")
+    return [v for v in (low, high) if v != 1]
 
 
 def eval_mobius(n: int, a: int, b: int) -> int:

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
 from .arith import _factor, _index_factors, _trial_divide, _Validated
-from .cyclotomic import Triple, _eval_homogeneous, _index_records, _power_pieces
+from .cyclotomic import Triple, _eval_homogeneous, _index_records
+from .cyclotomic import _aurifeuillian_pieces, _power_pieces
 from .valuation import multiplicative_order, vp_cyclotomic
 
 
@@ -195,9 +196,15 @@ def classify_prime_divisor(p: int, t: Triple) -> PrimeDivisorClass:
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    a, b, n = t.a, t.b, t.n
-    if _eval_homogeneous(n, a, b) % p:
+    if _eval_homogeneous(t.n, t.a, t.b) % p:
         raise ValueError("p does not divide the cyclotomic value")
+    return _classify_prime_divisor(p, t)
+
+
+def _classify_prime_divisor(p: int, t: Triple) -> PrimeDivisorClass:
+    # classify_prime_divisor for a prime p known to divide the value, as
+    # the primes of a report's validated Factorization do
+    a, b, n = t
     if p == 2:
         if n == 1:
             raise ValueError("p = 2 at n = 1 is outside the case analysis")
@@ -292,7 +299,10 @@ def analyze(
     the same cyclotomic value over _phi_divisors(n) adds the prime lists;
     when a and b are both p-th powers, the value is factored as its
     cyclotomic._power_pieces instead, each over its own _phi_divisors,
-    under one rho budget, and the order-n filter runs on (a, b, n).
+    and a piece Phi_m(s, t) that meets Schinzel's condition (1962) as
+    its two Aurifeuillian factors (cyclotomic._aurifeuillian_pieces;
+    Brent 1993), each over _phi_divisors(m).  All pieces share one rho
+    budget, and the order-n filter runs on (a, b, n).
     zsig_primes holds the primes of order exactly n with their exponents.
     For an order-n prime the exponent in a**n - b**n equals its exponent
     in the cyclotomic value, because no other divisor level can contain
@@ -310,7 +320,11 @@ def analyze(
     exception = classify_exception(t)
     split = _power_pieces(n, a, b)
     values = [fast.phi_value] if len(split) == 1 else [_eval_homogeneous(*p) for p in split]
-    pieces = [(v, _phi_divisors(m)) for v, (m, _, _) in zip(values, split)]
+    pieces = [
+        (part, _phi_divisors(m))
+        for v, (m, s, u) in zip(values, split)
+        for part in _aurifeuillian_pieces(m, s, u, v)
+    ]
     fac = _factor(fast.phi_value, effort, pieces)
     zsig = tuple((q, e) for q, e in fac.factors if _order_equals(q, a, b, n))
     large = tuple(q for q, e in zsig if e >= 2 or q > multiplier * n + 1)

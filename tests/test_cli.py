@@ -4,9 +4,10 @@ import tracemalloc
 
 import pytest
 
-from zsig import cli
+from zsig import arith, cli, zsigmondy
 from zsig.cli import ScanConfig, main, run_scan
-from zsig.zsigmondy import _NO_EXCEPTION, ExceptionCase
+from zsig.cyclotomic import Triple
+from zsig.zsigmondy import _NO_EXCEPTION, ExceptionCase, analyze, classify_prime_divisor
 
 
 def run(capsys, *argv):
@@ -120,16 +121,39 @@ class TestAnalyze:
         assert code == 1  # 7 is not beyond 3*2+1
         assert "MISMATCH" not in out
 
+    def test_text_classifies_validated_primes(self, monkeypatch):
+        # each listed prime's line is classify_prime_divisor's answer, and
+        # rendering tests no prime and evaluates no value again, since the
+        # report's Factorization validated its primes; (30,1,29) also
+        # lists 29 = P(29), whose case goes through the valuation
+        t = Triple(30, 1, 29)
+        rep = analyze(t, arith.Effort(cli.ANALYZE_TRIAL_BOUND, cli.ANALYZE_RHO_BUDGET))
+        expected = []
+        for p, _ in rep.phi_factors.factors:
+            c = classify_prime_divisor(p, t)
+            expected.append(f"  {p}: {c.case.value} (order {c.k}, beta {c.beta})")
+        assert "  29: largest_prime (order 1, beta 1)" in expected
+        calls = []
+
+        def counted(fn):
+            return lambda *args: calls.append(args) or fn(*args)
+
+        monkeypatch.setattr(zsigmondy, "is_prime", counted(zsigmondy.is_prime))
+        monkeypatch.setattr(zsigmondy, "_eval_homogeneous", counted(zsigmondy._eval_homogeneous))
+        text = cli._render_analyze_text(rep)
+        assert [line for line in text.splitlines() if line.startswith("  ")] == expected
+        assert calls == []
+
     def test_incomplete_multiplier_verdict(self, capsys):
-        # 703 = 19 * 37 stays unsplit, yet no prime beyond 2 * 18 + 1 exists
+        # 781 = 11 * 71 stays unsplit, yet no prime beyond 14 * 5 + 1 exists
         code, out, _ = run(
             capsys,
-            "analyze", "3", "1", "18", "--M", "2",
+            "analyze", "4", "3", "5", "--M", "14",
             "--trial-bound", "7", "--rho-budget", "0", "--format", "json",
         )
         assert code == 2
         payload = json.loads(out)
-        assert payload["cofactor"] == 703
+        assert payload["cofactor"] == 781
         assert payload["has_large"] is False
 
     def test_json_payload(self, capsys):
@@ -401,7 +425,7 @@ class TestScan:
         assert code == 2
         lines = out.splitlines()
         block = lines.index("incomplete factorizations:")
-        assert "  (5,4,5)" in lines[block + 1 :]
+        assert "  (4,3,5)" in lines[block + 1 :]
 
     def test_csv_marks_incomplete_rows(self, capsys):
         code, out, _ = run(
@@ -410,7 +434,7 @@ class TestScan:
             "--trial-bound", "10", "--rho-budget", "1", "--format", "csv",
         )
         assert code == 2
-        row = next(l for l in out.splitlines() if l.startswith("5,4,5,2101,"))
+        row = next(l for l in out.splitlines() if l.startswith("4,3,5,781,"))
         assert row.split(",")[-1] == "2"
 
     def test_env_var_default(self, capsys, monkeypatch):
@@ -455,9 +479,10 @@ class TestScan:
         assert err == f"invalid input: {message}\n"
 
     def test_incomplete_exit_two(self, capsys):
-        # (5,4,5) evaluates to 2101 = 11 * 191: invisible to trial
+        # (4,3,5) evaluates to 781 = 11 * 71: invisible to trial
         # division below 10 and to a single rho step, and no mismatch
         # triple lives in this range, so the incomplete status surfaces.
+        # (5,4,5)'s 2101 = 11 * 191 splits as its Aurifeuillian factors.
         code, out, _ = run(
             capsys,
             "scan", "--a-max", "5", "--n-max", "5",
@@ -467,7 +492,7 @@ class TestScan:
         report = json.loads(out)
         assert report["summary"]["mismatch_count"] == 0
         assert report["summary"]["incomplete_count"] > 0
-        assert {"a": 5, "b": 4, "n": 5} in report["incomplete"]
+        assert {"a": 4, "b": 3, "n": 5} in report["incomplete"]
 
     def test_mismatch_outranks_incomplete(self, capsys):
         # when both conditions occur the exit code reports the mismatch,

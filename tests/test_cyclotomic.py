@@ -1,10 +1,10 @@
 import copy
 import pickle
-from math import gcd as _gcd
+from math import gcd as _gcd, prod
 
 import pytest
 
-from zsig import cli, cyclotomic
+from zsig import aurifeuillian, cli, cyclotomic
 from zsig.arith import divisors, euler_phi, totient_sieve
 from zsig.cyclotomic import (
     INDEX_RECORD_LIMIT,
@@ -17,7 +17,7 @@ from zsig.cyclotomic import (
     eval_recursive,
     product_identity_check,
 )
-from oracles import hom_value, naive_cyclotomic, perfect_power_pairs
+from oracles import factor_oracle, hom_value, naive_cyclotomic, perfect_power_pairs
 
 
 def _inflate(coeffs, p):
@@ -368,6 +368,71 @@ class TestPowerPieces:
                 for m, s, t in pieces:
                     prod *= cyclotomic._eval_homogeneous(m, s, t)
                 assert prod == hom_value(n, a, b), (a, b, n, pieces)
+
+
+def _schinzel(a, b, n):
+    """Whether Phi_n(a, b) has Aurifeuillian factors, by Schinzel's
+    condition on k, the squarefree part of a*b, found by factoring."""
+    k = 1
+    for p, e in factor_oracle(a * b).items():
+        k *= p ** (e % 2)
+    if k == 1:
+        return False
+    base = k if k % 4 == 1 else 2 * k
+    return n % base == 0 and n // base % 2 == 1
+
+
+class TestAurifeuillianSplit:
+    def test_polynomial_identity(self):
+        # Phi_{n'}(x) = C(x)**2 - k*x*D(x)**2 for every squarefree k < 200
+        checked = 0
+        for k in range(2, 200):
+            if any(k % (p * p) == 0 for p in range(2, 15)):
+                continue
+            gamma, delta = aurifeuillian.coefficients(k)
+            d = len(gamma) - 1
+            c = [0] * (2 * d + 1)
+            for i, gi in enumerate(gamma):
+                for j, gj in enumerate(gamma):
+                    c[2 * d - i - j] += gi * gj
+            for i, di in enumerate(delta):
+                for j, dj in enumerate(delta):
+                    c[2 * d - 1 - i - j] -= k * di * dj
+            base = k if k % 4 == 1 else 2 * k
+            assert tuple(c) == naive_cyclotomic(base), k
+            checked += 1
+        assert checked == 121
+
+    def test_pieces_multiply_to_the_value(self):
+        schinzel = ones = 0
+        for a in range(2, 41):
+            for b in range(1, a):
+                if _gcd(a, b) != 1:
+                    continue
+                for n in range(2, 91):
+                    if not _schinzel(a, b, n):
+                        continue
+                    value = hom_value(n, a, b)
+                    pieces = cyclotomic._aurifeuillian_pieces(n, a, b, value)
+                    assert all(v > 1 for v in pieces), (a, b, n, pieces)
+                    assert prod(pieces) == value, (a, b, n, pieces)
+                    ones += len(pieces) == 1
+                    schinzel += 1
+        assert schinzel == 558
+        # a factor equal to 1 is dropped, at (2,1,4) and (3,2,12) among others
+        assert ones == 5
+        assert cyclotomic._aurifeuillian_pieces(4, 2, 1, 5) == [5]
+        assert cyclotomic._aurifeuillian_pieces(12, 3, 2, 61) == [61]
+
+    def test_never_fires_off_the_condition(self):
+        for a in range(2, 41):
+            for b in range(1, a):
+                if _gcd(a, b) != 1:
+                    continue
+                for n in range(2, 91):
+                    if not _schinzel(a, b, n):
+                        value = cyclotomic._eval_homogeneous(n, a, b)
+                        assert cyclotomic._aurifeuillian_pieces(n, a, b, value) == [value]
 
 
 class TestBounds:

@@ -178,5 +178,11 @@ def test_import_loads_neither_pool_nor_dataclasses():
     where, *added = proc.stdout.splitlines()
     assert Path(where).resolve().is_relative_to(SRC)
     assert "zsig.cli" in added
-    heavy = {"dataclasses", "concurrent.futures.process", "multiprocessing"}
+    # fractions pulls in decimal, a few ms of import for every command
+    heavy = {
+        "dataclasses", "concurrent.futures.process", "multiprocessing",
+        "fractions", "decimal", "cmath",
+    }
     assert heavy.isdisjoint(added)
+    # loaded only when a value meets Schinzel's condition
+    assert "zsig.aurifeuillian" not in added

@@ -87,7 +87,7 @@ class TestPowerPieces:
         assert split_only > 0
 
     def test_one_budget_across_pieces(self, monkeypatch):
-        # Phi_29(16, 1) = Phi_116(2, 1) * Phi_58(2, 1) * Phi_29(2, 1), and
+        # Phi_31(81, 1) = Phi_124(3, 1) * Phi_62(3, 1) * Phi_31(3, 1), and
         # rho works on all three pieces: each call gets what the earlier
         # calls left of the value's one budget, not a budget of its own
         calls = []
@@ -99,17 +99,28 @@ class TestPowerPieces:
             return g, used
 
         monkeypatch.setattr(arith, "_brent_rho", recorded)
-        rep = analyze(Triple(16, 1, 29), Effort(7, 1000))
+        rep = analyze(Triple(81, 1, 31), Effort(7, 1000))
         assert not rep.factorization_complete
         spent = 0
         for _, budget, used in calls:
             assert budget == 1000 - spent
             spent += used
         assert spent > 1000  # the last call ran the shared budget out
-        pieces = [_eval_homogeneous(*p) for p in cyclotomic._power_pieces(29, 16, 1)]
+        pieces = [_eval_homogeneous(*p) for p in cyclotomic._power_pieces(31, 81, 1)]
         assert len(pieces) == 3
         worked = {i for y, _, _ in calls for i, v in enumerate(pieces) if v % y == 0}
         assert worked == {0, 1, 2}
+
+
+class TestAurifeuillianSplit:
+    def test_completes_without_rho(self):
+        # 29 * 4 and 29 * 9 have squarefree part 29 = 1 (mod 4), and 29/29
+        # is odd: the value splits as L * M, of 20 and 22 digits at
+        # (29, 4, 29), which trial division completes with no rho step
+        for a, b in ((29, 4), (29, 9)):
+            rep = analyze(Triple(a, b, 29), Effort(10**6, 0))
+            assert rep.factorization_complete, (a, b)
+            assert rep.has_large
 
 
 class TestBruteForceEquivalence:
@@ -568,11 +579,11 @@ class TestAnalyze:
         assert rep.phi_value == eval_homogeneous(31, 13, 4)
 
     def test_incomplete_multiplier_verdict(self):
-        # Phi_18(3, 1) = 703 = 19 * 37 is left whole, yet no prime beyond
-        # 2 * 18 + 1 divides it
-        rep = analyze(Triple(3, 1, 18), Effort(7, 0), multiplier=2)
+        # Phi_5(4, 3) = 781 = 11 * 71 is left whole, yet no prime beyond
+        # 14 * 5 + 1 divides it
+        rep = analyze(Triple(4, 3, 5), Effort(7, 0), multiplier=14)
         assert not rep.factorization_complete
-        assert rep.phi_factors.cofactor == 703
+        assert rep.phi_factors.cofactor == 781
         assert not rep.has_large
         assert rep.fast.has_large
 
