@@ -63,26 +63,11 @@ _MR_BASES_40 = (
 
 _SMALL_PRIME_SET = frozenset(_MR_BASES_40)
 
-# Below the i-th limit the bases _MR_TIER_BASES[i], the first t primes,
-# decide: the limit is psi_t, the smallest strong pseudoprime to them
-# (OEIS A014233; Jaeschke 1993; Sorenson & Webster 2015), listed once at
-# the least t that reaches it, since psi_7 = psi_8 and
-# psi_9 = psi_10 = psi_11.  Past the last limit, the forty bases.
-_MR_TIER_LIMITS = (
-    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
-    3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461, MR_DETERMINISTIC_LIMIT,
-)
-_MR_TIER_BASES = tuple(
-    _MR_BASES_13[:t] for t in (1, 2, 3, 4, 5, 6, 7, 9, 12, 13)
-) + (_MR_BASES_40,)
-
 
 def is_prime(x: int) -> bool:
     """Deterministic Miller-Rabin below MR_DETERMINISTIC_LIMIT, small
-    inputs included, with as many of the thirteen proven bases as x
-    needs.  Above it, the fixed forty-base witness schedule (see module
-    comments).
+    inputs included: the thirteen bases are proven for every x below it.
+    Above it, the fixed forty-base witness schedule (see module comments).
     """
     if x < 2:
         return False
@@ -90,7 +75,7 @@ def is_prime(x: int) -> bool:
         return True
     if x % 2 == 0 or x % 3 == 0 or x % 5 == 0:
         return False
-    bases = _MR_TIER_BASES[bisect.bisect_right(_MR_TIER_LIMITS, x)]
+    bases = _MR_BASES_13 if x < MR_DETERMINISTIC_LIMIT else _MR_BASES_40
     n = mpz(x)
     d = n - 1
     s = 0
@@ -166,9 +151,9 @@ class Effort(
     built for it.  rho_step_budget counts iterations of the rho map
     across the whole recursive factorization of one value, shared by the
     algebraic pieces it may arrive as (zsigmondy.analyze splits the
-    value at a perfect-power pair, and each piece into its Aurifeuillian
-    factors where Schinzel's condition holds: Schinzel 1962, Brent
-    1993); None means unbounded.  A tuple
+    value at a perfect-power pair, and each piece above the trial limit
+    squared into its Aurifeuillian factors where Schinzel's condition
+    holds: Schinzel 1962, Brent 1993); None means unbounded.  A tuple
     record; the constructor, _make, _replace, copy and unpickling (a
     pool worker's copy too) all validate.
     """

@@ -11,7 +11,6 @@ whether a value splits, and imports this module only then.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .arith import _index_factors, divisors, euler_phi, mobius
@@ -46,21 +45,17 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-# squarefree k whose coefficients stay cached
-COEFFICIENT_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
-def coefficients(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def coefficients(k: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(gamma, delta), the coefficients of C = sum gamma_i x**(d-i) and
-    D = sum delta_i x**(d-1-i), d = phi(n')/2, for squarefree k > 1.
-    Newton's identities over the power sums q_j of the roots: (k | j) at
-    odd j, and at even j the Ramanujan sum c_k(j), or c_4k(j)/2 when
-    k = 2, 3 (mod 4).  Every division is exact and checked."""
-    d = euler_phi(k if k % 4 == 1 else 2 * k) // 2
+    D = sum delta_i x**(d-1-i), d = phi(n')/2, for squarefree k > 1 and
+    its base index n' = base.  Newton's identities over the power sums
+    q_j of the roots: (k | j) at odd j, and at even j the Ramanujan sum
+    c_k(j) when n' = k, or c_4k(j)/2 when n' = 2k.  Every division is
+    exact and checked."""
+    d = euler_phi(base) // 2
     q = [
         _jacobi(k, j) if j % 2
-        else _ramanujan_sum(k, j) if k % 4 == 1
+        else _ramanujan_sum(k, j) if base == k
         else _ramanujan_sum(4 * k, j) // 2
         for j in range(2 * d + 1)
     ]
@@ -85,20 +80,18 @@ def _binary_form(coeffs: tuple[int, ...], x: int, y: int) -> int:
     return acc
 
 
-def factors(n: int, a: int, b: int, k: int, w: int) -> tuple[int, int]:
-    """(L, M) with L * M = Phi_n(a, b), for a*b = k*w**2 with k squarefree
-    and n = n' * m, m odd.  With P the primes of m not dividing n' and
-    s = m/P, Phi_n(a, b) is Phi_{n'P}(a**s, b**s), the product of
-    Phi_{n'}(a**se, b**se) to the power mu(P/e) over e | P.  Each of
-    those is C**2 - k*W**2*D**2 at (a*b)**se = k*W**2, so it splits as
-    (C - k*W*D) * (C + k*W*D), the two swapped where (k | e) = -1, and L
-    and M are the products of their sides; every division is exact and
-    checked."""
-    base = k if k % 4 == 1 else 2 * k
-    m = n // base
+def factors(k: int, base: int, m: int, a: int, b: int, w: int) -> tuple[int, int]:
+    """(L, M) with L * M = Phi_n(a, b), for a*b = k*w**2 with k squarefree,
+    n' = base its base index and n = n' * m, m odd.  With P the primes of
+    m not dividing n' and s = m/P, Phi_n(a, b) is Phi_{n'P}(a**s, b**s),
+    the product of Phi_{n'}(a**se, b**se) to the power mu(P/e) over
+    e | P.  Each of those is C**2 - k*W**2*D**2 at (a*b)**se = k*W**2, so
+    it splits as (C - k*W*D) * (C + k*W*D), the two swapped where
+    (k | e) = -1, and L and M are the products of their sides; every
+    division is exact and checked."""
     p_part = math.prod(p for p, _ in _index_factors(m) if base % p)
     s = m // p_part
-    gamma, delta = coefficients(k)
+    gamma, delta = coefficients(k, base)
     num, den = [1, 1], [1, 1]
     for e in divisors(p_part):
         se = s * e

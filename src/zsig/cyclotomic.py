@@ -216,7 +216,7 @@ def _aurifeuillian_pieces(n: int, a: int, b: int, value: int) -> list[int]:
         return [value]
     from .aurifeuillian import factors
 
-    low, high = factors(n, a, b, k, w)
+    low, high = factors(k, base, n // base, a, b, w)
     if low * high != value:
         raise ArithmeticError("Aurifeuillian factors do not multiply to the value")
     return [v for v in (low, high) if v != 1]

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
-from .arith import _factor, _index_factors, _trial_divide, _Validated
+from .arith import _factor, _index_factors, _trial_divide, _trial_limit, _Validated
 from .cyclotomic import Triple, _eval_homogeneous, _index_records
 from .cyclotomic import _aurifeuillian_pieces, _power_pieces
 from .valuation import multiplicative_order, vp_cyclotomic
@@ -299,9 +299,10 @@ def analyze(
     the same cyclotomic value over _phi_divisors(n) adds the prime lists;
     when a and b are both p-th powers, the value is factored as its
     cyclotomic._power_pieces instead, each over its own _phi_divisors,
-    and a piece Phi_m(s, t) that meets Schinzel's condition (1962) as
-    its two Aurifeuillian factors (cyclotomic._aurifeuillian_pieces;
-    Brent 1993), each over _phi_divisors(m).  All pieces share one rho
+    and a piece Phi_m(s, t) above the trial limit squared that meets
+    Schinzel's condition (1962) as its two Aurifeuillian factors
+    (cyclotomic._aurifeuillian_pieces; Brent 1993), each over
+    _phi_divisors(m).  All pieces share one rho
     budget, and the order-n filter runs on (a, b, n).
     zsig_primes holds the primes of order exactly n with their exponents.
     For an order-n prime the exponent in a**n - b**n equals its exponent
@@ -320,10 +321,13 @@ def analyze(
     exception = classify_exception(t)
     split = _power_pieces(n, a, b)
     values = [fast.phi_value] if len(split) == 1 else [_eval_homogeneous(*p) for p in split]
+    # trial division alone completes a value up to limit**2, so only a
+    # larger one can save rho steps by splitting
+    limit = _trial_limit(effort)
     pieces = [
         (part, _phi_divisors(m))
         for v, (m, s, u) in zip(values, split)
-        for part in _aurifeuillian_pieces(m, s, u, v)
+        for part in (_aurifeuillian_pieces(m, s, u, v) if v > limit * limit else [v])
     ]
     fac = _factor(fast.phi_value, effort, pieces)
     zsig = tuple((q, e) for q, e in fac.factors if _order_equals(q, a, b, n))

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,32 +87,6 @@ class TestIsPrime:
         # Composites that fool weak Miller-Rabin base sets.
         assert not is_prime(3215031751)
         assert not is_prime(3825123056546413051)
-
-    def test_base_tiers_match_thirteen_bases(self):
-        # each tier limit is a strong pseudoprime to the bases of the tier
-        # it ends, so a mistyped limit fails here; some base of the forty
-        # is a witness that it is composite, and is_prime rejects it
-        def strong_probable_prime(x, base):
-            d, s = x - 1, 0
-            while d % 2 == 0:
-                d, s = d // 2, s + 1
-            y = pow(base, d, x)
-            return y in (1, x - 1) or any(pow(y, 2**i, x) == x - 1 for i in range(1, s))
-
-        limits = arith._MR_TIER_LIMITS
-        assert limits[-1] == arith.MR_DETERMINISTIC_LIMIT
-        for limit, bases in zip(limits, arith._MR_TIER_BASES):
-            assert all(strong_probable_prime(limit, base) for base in bases), limit
-            assert not all(strong_probable_prime(limit, base) for base in arith._MR_BASES_40)
-            assert not is_prime(limit)
-        rng = random.Random(22)
-        sample = [x for limit in limits for x in (limit - 2, limit + 2)]
-        for low, high in zip((0,) + limits, limits):
-            sample += [rng.randrange(low, high) | 1 for _ in range(300)]
-        for x in sample:
-            if x < arith.MR_DETERMINISTIC_LIMIT:
-                assert is_prime(x) == is_prime_oracle(x), x
-        assert sum(map(is_prime, sample)) > 100
 
     def test_large_known_values(self):
         assert is_prime(2**61 - 1)

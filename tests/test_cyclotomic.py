@@ -389,7 +389,8 @@ class TestAurifeuillianSplit:
         for k in range(2, 200):
             if any(k % (p * p) == 0 for p in range(2, 15)):
                 continue
-            gamma, delta = aurifeuillian.coefficients(k)
+            base = k if k % 4 == 1 else 2 * k
+            gamma, delta = aurifeuillian.coefficients(k, base)
             d = len(gamma) - 1
             c = [0] * (2 * d + 1)
             for i, gi in enumerate(gamma):
@@ -398,7 +399,6 @@ class TestAurifeuillianSplit:
             for i, di in enumerate(delta):
                 for j, dj in enumerate(delta):
                     c[2 * d - 1 - i - j] -= k * di * dj
-            base = k if k % 4 == 1 else 2 * k
             assert tuple(c) == naive_cyclotomic(base), k
             checked += 1
         assert checked == 121

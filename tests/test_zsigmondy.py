@@ -122,6 +122,26 @@ class TestAurifeuillianSplit:
             assert rep.factorization_complete, (a, b)
             assert rep.has_large
 
+    def test_splits_only_above_trial_limit_squared(self, monkeypatch):
+        # Phi_5(5, 1) = 781 = 11 * 71 meets the condition (k = 5); trial
+        # division to 7 leaves it to rho, so it splits, while trial
+        # division to 100 completes it (781 <= 100**2) and it does not
+        calls = []
+
+        def pieces(n, a, b, value):
+            calls.append((n, a, b))
+            return cyclotomic._aurifeuillian_pieces(n, a, b, value)
+
+        monkeypatch.setattr(zsigmondy, "_aurifeuillian_pieces", pieces)
+        small = analyze(Triple(5, 1, 5), Effort(7, 0))
+        assert calls == [(5, 5, 1)]
+        assert small.factorization_complete
+        calls.clear()
+        whole = analyze(Triple(5, 1, 5), Effort(100, 0))
+        assert calls == []
+        assert whole.factorization_complete
+        assert whole.zsig_primes == small.zsig_primes
+
 
 class TestBruteForceEquivalence:
     """Definition-level cross-check: factor a^n - b^n outright and compare.
