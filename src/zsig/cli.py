@@ -91,34 +91,24 @@ class ScanRow(NamedTuple):
     fast_has_large: bool
     residual: int
     complete: bool
-    table_agrees: bool
 
-
-def _row_from_report(rep: ZsigReport) -> ScanRow:
-    t = rep.triple
-    return ScanRow(
-        t.a,
-        t.b,
-        t.n,
-        rep.phi_value,
-        rep.zsig_primes,
-        rep.large_zsig_primes,
-        rep.exception,
-        rep.has_zsigmondy,
-        rep.has_large,
-        rep.fast.has_large,
-        rep.fast.residual,
-        rep.factorization_complete,
-        rep.table_agrees,
-    )
+    # the report's one definition, read from the row's exception and has_large
+    table_agrees = ZsigReport.table_agrees
 
 
 def _scan_pair(job: tuple[int, int, int, Effort]) -> list[ScanRow]:
     a, b, n_max, effort = job
-    return [
-        _row_from_report(analyze(Triple(a, b, n), effort))
-        for n in range(2, n_max + 1)
-    ]
+    rows = []
+    for n in range(2, n_max + 1):
+        rep = analyze(Triple(a, b, n), effort)
+        rows.append(
+            ScanRow(
+                a, b, n, rep.phi_value, rep.zsig_primes, rep.large_zsig_primes,
+                rep.exception, rep.has_zsigmondy, rep.has_large,
+                rep.fast.has_large, rep.fast.residual, rep.factorization_complete,
+            )
+        )
+    return rows
 
 
 def coprime_pairs(a_max: int) -> list[tuple[int, int]]:
@@ -159,29 +149,24 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[Sca
             if progress and i % 25 == 0:
                 print(f"{i}/{len(jobs)} pairs done", file=sys.stderr, flush=True)
     rows = [row for chunk in reversed(chunks) for row in chunk]
-    exceptions = [
-        {
-            "a": r.a,
-            "b": r.b,
-            "n": r.n,
-            "case": r.exception.kind.value,
-            "witness": r.exception.witness(),
-        }
-        for r in rows
-        if r.exception.is_exception
-    ]
-    mismatches = [
-        {
-            "a": r.a,
-            "b": r.b,
-            "n": r.n,
-            "table_predicts_large": not r.exception.is_exception,
-            "computed_has_large": r.has_large,
-        }
-        for r in rows
-        if not r.table_agrees
-    ]
-    incomplete = [{"a": r.a, "b": r.b, "n": r.n} for r in rows if not r.complete]
+    exceptions: list[dict] = []
+    mismatches: list[dict] = []
+    incomplete: list[dict] = []
+    for r in rows:
+        exc = r.exception
+        key = {"a": r.a, "b": r.b, "n": r.n}
+        if exc.is_exception:
+            exceptions.append({**key, "case": exc.kind.value, "witness": exc.witness()})
+        if not r.table_agrees:
+            mismatches.append(
+                {
+                    **key,
+                    "table_predicts_large": not exc.is_exception,
+                    "computed_has_large": r.has_large,
+                }
+            )
+        if not r.complete:
+            incomplete.append(key)
     report = {
         "config": {
             "a_max": config.a_max,
@@ -313,23 +298,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _analyze_payload(rep: ZsigReport) -> dict:
-    payload: dict = {}
-    for key, value in _row_from_report(rep)._asdict().items():
-        if key == "exception":
-            # one field of the row, three keys of the JSON, in its place
-            payload["exception_kind"] = value.kind.value
-            payload["witness"] = value.witness()
-            payload["is_exception"] = value.is_exception
-        else:
-            payload[key] = value
-    fac = rep.phi_factors
-    payload["factors"] = [[p, e] for p, e in fac.factors]
-    payload["cofactor"] = fac.cofactor
-    fast = rep.fast._asdict()
-    del fast["phi_value"]
-    payload["fast"] = fast
-    payload["large_multiplier"] = rep.large_multiplier
-    return payload
+    t, exc, fast, fac = rep.triple, rep.exception, rep.fast, rep.phi_factors
+    return {
+        "a": t.a,
+        "b": t.b,
+        "n": t.n,
+        "phi_value": rep.phi_value,
+        "zsig": rep.zsig_primes,
+        "large": rep.large_zsig_primes,
+        "exception_kind": exc.kind.value,
+        "witness": exc.witness(),
+        "is_exception": exc.is_exception,
+        "has_zsigmondy": rep.has_zsigmondy,
+        "has_large": rep.has_large,
+        "fast_has_large": fast.has_large,
+        "residual": fast.residual,
+        "complete": rep.factorization_complete,
+        "table_agrees": rep.table_agrees,
+        "factors": [[p, e] for p, e in fac.factors],
+        "cofactor": fac.cofactor,
+        "fast": {k: v for k, v in fast._asdict().items() if k != "phi_value"},
+        "large_multiplier": rep.large_multiplier,
+    }
 
 
 def _render_analyze_text(rep: ZsigReport) -> str:

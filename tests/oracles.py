@@ -13,8 +13,16 @@ from functools import lru_cache
 
 _SMALL = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
+# the least strong pseudoprime to all of _SMALL (OEIS A014233), so the
+# Miller-Rabin test over them is exact exactly below it
+EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime_oracle(n: int) -> bool:
+    """Primality by Miller-Rabin over the 13 bases of _SMALL: exact for
+    n < EXACT_BELOW, and ValueError at or above it."""
+    if n >= EXACT_BELOW:
+        raise ValueError(f"{n} is beyond the oracle's exact range")
     if n < 2:
         return False
     for p in _SMALL:
@@ -70,8 +78,11 @@ def perfect_power_pairs(a_max: int) -> list[tuple[int, int]]:
 
 
 def factor_oracle(x: int) -> dict[int, int]:
-    """Full factorization of x >= 1 as {prime: exponent}."""
+    """Full factorization of 1 <= x < EXACT_BELOW as {prime: exponent};
+    exact only in that range, so ValueError at or above it."""
     assert x >= 1
+    if x >= EXACT_BELOW:
+        raise ValueError(f"{x} is beyond the oracle's exact range")
     out: dict[int, int] = {}
     for p in range(2, 65536):
         if p * p > x:

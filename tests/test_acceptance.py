@@ -8,8 +8,10 @@ exactly one red test on a correct build.  The README's "known divergences"
 section carries the analysis.
 """
 
+import json
 from collections import Counter
 from math import gcd as _gcd
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +256,17 @@ def test_criterion_7_fast_decision_equivalence(reference_scan):
         f"triples ({len(partial)} incomplete ones checked for consistency; "
         f"their shortfall is criterion 1's finding, not a disagreement)"
     )
+
+
+@pytest.mark.slow
+def test_reference_scan_matches_its_record(reference_scan):
+    # README's figures are read from reference_scan.json; the scan must
+    # still produce it, apart from the run's own time and worker count
+    report, _ = reference_scan
+    path = Path(__file__).resolve().parent.parent / "reference_scan.json"
+    record = json.loads(path.read_text())
+    fresh = json.loads(json.dumps(report))
+    for doc in (record, fresh):
+        del doc["summary"]["elapsed_seconds"]
+        del doc["config"]["parallelism"]
+    assert fresh == record

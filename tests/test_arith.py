@@ -15,7 +15,13 @@ from zsig.arith import (
     totient_sieve,
     vp,
 )
-from oracles import brent_rho_reference, factor_oracle, is_prime_oracle, vp_oracle
+from oracles import (
+    EXACT_BELOW,
+    brent_rho_reference,
+    factor_oracle,
+    is_prime_oracle,
+    vp_oracle,
+)
 
 
 class TestGcd:
@@ -78,6 +84,23 @@ class TestIsPrime:
         # in the base table, which Miller-Rabin must reject on its own
         for n in range(-3, 40_000):
             assert is_prime(n) == is_prime_oracle(n)
+
+    def test_oracle_is_exact_only_below_the_first_pseudoprime(self):
+        # EXACT_BELOW is a strong pseudoprime to all 13 oracle bases, so the
+        # oracle refuses it rather than call it prime; the package, with its
+        # 40 bases from there on, splits it
+        assert EXACT_BELOW == arith.MR_DETERMINISTIC_LIMIT
+        for x in (EXACT_BELOW, EXACT_BELOW + 2, 2**127 - 1):
+            with pytest.raises(ValueError):
+                is_prime_oracle(x)
+            with pytest.raises(ValueError):
+                factor_oracle(x)
+        assert not is_prime(EXACT_BELOW)
+        assert factorize(EXACT_BELOW).factors == ((1287836182261, 1), (2575672364521, 1))
+        # just below it the oracle still answers
+        for x in (EXACT_BELOW - 1, EXACT_BELOW - 2):
+            assert is_prime_oracle(x) is False
+            assert factor_oracle(x) == dict(factorize(x).factors)
 
     def test_carmichael_numbers(self):
         for n in (561, 1105, 1729, 41041, 825265):

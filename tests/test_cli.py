@@ -335,8 +335,8 @@ class TestScan:
 
     def test_row_memory(self):
         # the scan's parent holds every row and pool workers fork from that
-        # heap; the bound sits between tuple rows (about 440 bytes each on
-        # this range) and 15-key dict rows (about 820)
+        # heap; the bound sits between tuple rows (about 360-370 bytes each
+        # on this range) and 15-key dict rows (about 820)
         tracemalloc.start()
         try:
             _, rows = run_scan(ScanConfig(12, 12))
@@ -493,6 +493,50 @@ class TestScan:
         assert report["summary"]["mismatch_count"] == 0
         assert report["summary"]["incomplete_count"] > 0
         assert {"a": 4, "b": 3, "n": 5} in report["incomplete"]
+
+    def test_lists_match_analyze(self, capsys):
+        # the range holds exceptions, the mismatches (3,2,10) and (5,1,6) and
+        # the incomplete (4,3,5); each list entry is what analyze says of
+        # its triple, in (a, b, n) order
+        code, out, _ = run(
+            capsys,
+            "scan", "--a-max", "5", "--n-max", "10",
+            "--trial-bound", "10", "--rho-budget", "1",
+        )
+        assert code == 1
+        report = json.loads(out)
+        exceptions, mismatches, incomplete = [], [], []
+        for a, b in cli.coprime_pairs(5):
+            for n in range(2, 11):
+                rep = analyze(Triple(a, b, n), arith.Effort(10, 1))
+                exc = rep.exception
+                key = {"a": a, "b": b, "n": n}
+                if exc.is_exception:
+                    exceptions.append(
+                        {**key, "case": exc.kind.value, "witness": exc.witness()}
+                    )
+                if (not exc.is_exception) != rep.has_large:
+                    mismatches.append(
+                        {
+                            **key,
+                            "table_predicts_large": not exc.is_exception,
+                            "computed_has_large": rep.has_large,
+                        }
+                    )
+                if not rep.factorization_complete:
+                    incomplete.append(key)
+        assert report["exceptions"] == exceptions
+        assert report["mismatches"] == mismatches
+        assert report["incomplete"] == incomplete
+        assert [(m["a"], m["b"], m["n"]) for m in mismatches] == [(3, 2, 10), (5, 1, 6)]
+        assert {"a": 4, "b": 3, "n": 5} in incomplete
+        summary = report["summary"]
+        assert (
+            summary["triples_scanned"],
+            summary["exception_count"],
+            summary["mismatch_count"],
+            summary["incomplete_count"],
+        ) == (81, len(exceptions), 2, len(incomplete))
 
     def test_mismatch_outranks_incomplete(self, capsys):
         # when both conditions occur the exit code reports the mismatch,

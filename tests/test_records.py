@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from zsig.arith import Effort, Factorization, _Validated, factorize
-from zsig.cli import ScanConfig, ScanRow, _row_from_report
+from zsig.cli import ScanConfig, ScanRow, _scan_pair
 from zsig.cyclotomic import IntPoly, Triple, cyclotomic_coeffs
 from zsig.zsigmondy import (
     DivisorCase,
@@ -71,11 +71,16 @@ def test_one_shared_make(cls):
     assert "_make" not in cls.__dict__
 
 
+def _scan_row(a, b, n):
+    # the scan's own row for (a, b, n): the last one of its (a, b) job
+    return _scan_pair((a, b, n, Effort(2000, 3_000_000)))[-1]
+
+
 def _records():
     return [cls(*good) for cls, good, _ in VALIDATED] + [
         classify_exception(Triple(5, 3, 2)),
         analyze(Triple(2, 1, 6)),
-        _row_from_report(analyze(Triple(3, 2, 10))),
+        _scan_row(3, 2, 10),
     ]
 
 
@@ -120,14 +125,15 @@ def test_reprs_unchanged():
 
 
 def test_scan_row_repr_and_pickle():
-    row = _row_from_report(analyze(Triple(3, 2, 10)))
+    row = _scan_row(3, 2, 10)
     assert repr(row) == (
         "ScanRow(a=3, b=2, n=10, phi_value=55, zsig=((11, 1),), large=(), "
         "exception=ExceptionCase(kind=<ExceptionKind.NONE: 'none'>, s=None, "
         "t=None, pair=None), "
         "has_zsigmondy=True, has_large=False, fast_has_large=False, "
-        "residual=11, complete=True, table_agrees=False)"
+        "residual=11, complete=True)"
     )
+    assert row.table_agrees is False
     # every row a pool worker makes reaches the parent through pickle
     back = pickle.loads(pickle.dumps(row))
     assert type(back) is ScanRow and back == row
