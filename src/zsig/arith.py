@@ -10,7 +10,6 @@ module usable without it.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -381,20 +380,41 @@ def _factor(x: int, effort: Effort | None, pieces) -> Factorization:
     return Factorization(x, tuple(sorted(found.items())), cofactor)
 
 
-# distinct indices whose factorization stays cached
-_INDEX_CACHE_SIZE = 4096
+# indices above this get a record on demand that is not retained
+INDEX_RECORD_LIMIT = 4096
 
 
-@functools.lru_cache(maxsize=_INDEX_CACHE_SIZE)
-def _index_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of a positive index n, primes ascending.
+class _IndexRecords(dict):
+    """n -> (odd, plus, minus, top, factors), everything the library reads
+    of a positive index n: its parity, the exponents e of Phi_n's divisor
+    product split by the sign of mu(d) (cyclotomic's module docstring
+    gives the identity), P(n), its largest prime (None at n = 1), and its
+    (prime, exponent) pairs, primes ascending.  At odd n, e = n/d over the
+    squarefree d | n; at even n = 2**k * m, m odd, e = n/2d over the
+    squarefree d | m.  A plain tuple, since it unpacks faster than a named
+    one.
 
-    The one place an index is factored: every triple asks for the same
-    few indices again, so the pairs are cached.  factorize sieves no
-    further than sqrt(n), which is all trial division needs to factor n
-    completely.
+    The one place an index is factored and cached: a missing record is
+    built on lookup, and kept for n <= INDEX_RECORD_LIMIT.  factorize
+    sieves no further than sqrt(n), which is all trial division needs to
+    factor n completely.
     """
-    return factorize(n).factors
+
+    def __missing__(
+        self, n: int
+    ) -> tuple[bool, tuple[int, ...], tuple[int, ...], int | None, tuple[tuple[int, int], ...]]:
+        factors = factorize(n).factors
+        odd = n % 2 == 1
+        plus, minus = [n if odd else n // 2], []
+        for p, _ in factors[not odd:]:
+            plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
+        record = (odd, tuple(plus), tuple(minus), factors[-1][0] if factors else None, factors)
+        if n <= INDEX_RECORD_LIMIT:
+            self[n] = record
+        return record
+
+
+_index_records = _IndexRecords()
 
 
 def vp(x: int, p: int) -> int:
@@ -417,7 +437,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi expects a positive integer")
     result = n
-    for p, _ in _index_factors(n):
+    for p, _ in _index_records[n][4]:
         result -= result // p
     return result
 
@@ -438,7 +458,7 @@ def mobius(n: int) -> int:
     """Moebius function: 0 on squareful n, else parity of the prime count."""
     if n < 1:
         raise ValueError("mobius expects a positive integer")
-    factors = _index_factors(n)
+    factors = _index_records[n][4]
     if any(e > 1 for _, e in factors):
         return 0
     return -1 if len(factors) % 2 else 1
@@ -447,7 +467,7 @@ def mobius(n: int) -> int:
 def largest_prime_divisor(n: int) -> int:
     if n < 2:
         raise ValueError("largest_prime_divisor needs n >= 2")
-    return _index_factors(n)[-1][0]
+    return _index_records[n][3]
 
 
 def divisors(n: int) -> list[int]:
@@ -455,6 +475,6 @@ def divisors(n: int) -> list[int]:
     if n < 1:
         raise ValueError("divisors expects a positive integer")
     out = [1]
-    for p, e in _index_factors(n):
+    for p, e in _index_records[n][4]:
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)

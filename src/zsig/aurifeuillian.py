@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import _index_factors, divisors, euler_phi, mobius
+from .arith import _index_records, divisors, euler_phi, mobius
 
 
 def _jacobi(k: int, j: int) -> int:
@@ -89,7 +89,7 @@ def factors(k: int, base: int, m: int, a: int, b: int, w: int) -> tuple[int, int
     it splits as (C - k*W*D) * (C + k*W*D), the two swapped where
     (k | e) = -1, and L and M are the products of their sides; every
     division is exact and checked."""
-    p_part = math.prod(p for p, _ in _index_factors(m) if base % p)
+    p_part = math.prod(p for p, _ in _index_records[m][4] if base % p)
     s = m // p_part
     gamma, delta = coefficients(k, base)
     num, den = [1, 1], [1, 1]

@@ -120,7 +120,7 @@ def coprime_pairs(a_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[ScanRow]]:
+def run_scan(config: ScanConfig) -> tuple[dict, list[ScanRow]]:
     """Execute a scan; returns (report object, per-triple rows).
 
     The report object follows the documented schema: config, summary,
@@ -128,7 +128,8 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[Sca
     whatever the worker scheduling, so output is deterministic: jobs go
     out by descending (a, b), costliest first, so a pool ends on cheap
     ones; map and ProcessPoolExecutor.map yield results in job order, and
-    the chunks, each ascending by n, are put back in (a, b) order.
+    the chunks, each ascending by n, are put back in (a, b) order.  Every
+    25 pairs a progress line goes to stderr.
     """
     started = time.monotonic()
     pairs = coprime_pairs(config.a_max)
@@ -146,7 +147,7 @@ def run_scan(config: ScanConfig, progress: bool = False) -> tuple[dict, list[Sca
             mapper = stack.enter_context(pool).map
         for i, chunk in enumerate(mapper(_scan_pair, jobs), 1):
             chunks.append(chunk)
-            if progress and i % 25 == 0:
+            if i % 25 == 0:
                 print(f"{i}/{len(jobs)} pairs done", file=sys.stderr, flush=True)
     rows = [row for chunk in reversed(chunks) for row in chunk]
     exceptions: list[dict] = []
@@ -402,7 +403,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report, rows = run_scan(config, progress=True)
+    report, rows = run_scan(config)
     if config.output_format == "json":
         print(json.dumps(report, indent=2))
     elif config.output_format == "csv":

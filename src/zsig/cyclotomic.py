@@ -10,8 +10,10 @@ through its own identity:
   Phi_n(a, b) = prod over d | rad(n) of (a**(n/d) - b**(n/d))**mu(d) at
   odd n, and over d | rad(m) of (a**(n/2d) + b**(n/2d))**mu(d), half the
   terms, at even n = 2**k * m, m odd, since Phi_2m(x) = Phi_m(-x) for odd
-  m > 1 and Phi_2(x) = x + 1; the exponents are split by the sign of
-  mu(d) and kept per index, with P(n), in one record;
+  m > 1 and Phi_2(x) = x + 1; the exponents e are split by the sign of
+  mu(d) into plus and minus, and read from arith's per-index record, so
+  Phi_n = prod over plus of (x**e + c) / prod over minus of (x**e + c),
+  with c = -1 at odd n and c = +1 at even n, in x or at x = a/b;
   callers that have validated once use the unchecked _eval_homogeneous;
   cyclotomic_coeffs takes the same product over the same record in x;
 - eval_mobius: the same product taken from the definition, walking every
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import _index_factors, _iroot, _primes_up_to, _Validated
+from .arith import _index_records, _iroot, _primes_up_to, _Validated
 from .arith import divisors, euler_phi, mobius, vp
 
 
@@ -98,37 +100,6 @@ def _div_binomial(poly: list[int], k: int, c: int) -> list[int]:
     return q
 
 
-# indices above this get a record on demand that is not retained
-INDEX_RECORD_LIMIT = 4096
-
-
-class _IndexRecords(dict):
-    """n -> (odd, plus, minus, top), what the coefficient build, the
-    evaluator and the decision read of index n: its parity, the exponents
-    e of its divisor product split by the sign of mu(d), and P(n), its
-    largest prime (None at n = 1).  Both builds take the one identity
-    Phi_n = prod over plus of (x**e + c) / prod over minus of (x**e + c),
-    with c = -1 at odd n and c = +1 at even n, in x or at x = a/b.  At odd
-    n, e = n/d over the squarefree d | n; at even n = 2**k * m, m odd,
-    e = n/2d over the squarefree d | m.  A plain tuple, since it unpacks
-    faster than a named one.  A missing record is built on lookup, and
-    kept for n <= INDEX_RECORD_LIMIT."""
-
-    def __missing__(self, n: int) -> tuple[bool, tuple[int, ...], tuple[int, ...], int | None]:
-        factors = _index_factors(n)
-        odd = n % 2 == 1
-        plus, minus = [n if odd else n // 2], []
-        for p, _ in factors[not odd:]:
-            plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
-        record = (odd, tuple(plus), tuple(minus), factors[-1][0] if factors else None)
-        if n <= INDEX_RECORD_LIMIT:
-            self[n] = record
-        return record
-
-
-_index_records = _IndexRecords()
-
-
 def cyclotomic_coeffs(n: int) -> IntPoly:
     """Exact coefficient vector of the n-th cyclotomic polynomial, the
     divisor product over n's record.  Every exponent is a multiple of
@@ -138,7 +109,7 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
     """
     if n < 1:
         raise ValueError("index must be a positive integer")
-    odd, plus, minus, _ = _index_records[n]
+    odd, plus, minus, _, _ = _index_records[n]
     c = -1 if odd else 1
     s = math.gcd(*plus, *minus)
     work = [1]
@@ -153,7 +124,7 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
 
 def eval_homogeneous(n: int, a: int, b: int) -> int:
     """Homogeneous cyclotomic value at (a, b) as the divisor product over
-    the cached Moebius exponent split of n, with one exact division at the
+    the Moebius exponent split in n's record, with one exact division at the
     end: of a**e - b**e, e = n/d, d | rad(n) at odd n, and of a**e + b**e,
     e = n/2d, d | rad(m), half as many terms, at even n = 2**k * m, m odd."""
     Triple(a, b, n)
@@ -163,7 +134,7 @@ def eval_homogeneous(n: int, a: int, b: int) -> int:
 def _eval_homogeneous(n: int, a: int, b: int, record: tuple | None = None) -> int:
     # eval_homogeneous without validation, for arguments already checked;
     # a caller that holds n's record passes it
-    odd, plus, minus, _ = record or _index_records[n]
+    odd, plus, minus, _, _ = record or _index_records[n]
     num = den = 1
     if odd:
         for e in plus:
@@ -207,7 +178,7 @@ def _aurifeuillian_pieces(n: int, a: int, b: int, value: int) -> list[int]:
     x = a * b
     # k holds primes of n only; the square test below rejects an a*b
     # with another prime to an odd power
-    k = math.prod(p for p, _ in _index_factors(n) if vp(x, p) % 2)
+    k = math.prod(p for p, _ in _index_records[n][4] if vp(x, p) % 2)
     base = k if k % 4 == 1 else 2 * k
     if k == 1 or n % base or n // base % 2 == 0:
         return [value]
@@ -256,7 +227,7 @@ def eval_recursive(n: int, a: int, b: int) -> int:
 def _eval_reduced(n: int, a: int, b: int) -> int:
     if n == 1:
         return a - b
-    factors = _index_factors(n)
+    factors = _index_records[n][4]
     rad = math.prod(p for p, _ in factors)
     if rad != n:
         stretch = n // rad

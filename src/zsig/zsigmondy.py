@@ -20,8 +20,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .arith import Effort, Factorization, is_prime, largest_prime_divisor, vp
-from .arith import _factor, _index_factors, _trial_divide, _trial_limit, _Validated
-from .cyclotomic import Triple, _eval_homogeneous, _index_records
+from .arith import _factor, _index_records, _trial_divide, _trial_limit, _Validated
+from .cyclotomic import Triple, _eval_homogeneous
 from .cyclotomic import _aurifeuillian_pieces, _power_pieces
 from .valuation import multiplicative_order, vp_cyclotomic
 
@@ -149,7 +149,7 @@ def _order_equals(q: int, a: int, b: int, n: int) -> bool:
     x = a * pow(b, q - 2, q) % q
     if pow(x, n, q) != 1:
         return False
-    for r, _ in _index_factors(n):
+    for r, _ in _index_records[n][4]:
         if pow(x, n // r, q) == 1:
             return False
     return True

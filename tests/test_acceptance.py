@@ -50,7 +50,7 @@ def _odd_part(x):
 def reference_scan():
     """The criterion-1 scan, shared by every criterion that reads rows."""
     config = ScanConfig(a_max=A_MAX, n_max=N_MAX)
-    report, rows = run_scan(config, progress=False)
+    report, rows = run_scan(config)
     return report, rows
 
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -309,12 +312,50 @@ class TestBrentRho:
 
 class TestIndexFactors:
     def test_trial_division_stops_at_sqrt(self, monkeypatch):
-        # 22 has the prime factor 11, yet factoring it as an index sieves
-        # only the primes to 7 that trial division always tries
+        # 22 has the prime factor 11, yet building its record sieves only
+        # the primes to 7 that trial division always tries
         monkeypatch.setattr(arith, "_sieve_flags", bytearray())
         monkeypatch.setattr(arith, "_sieve_primes", [])
-        assert arith._index_factors.__wrapped__(22) == ((2, 1), (11, 1))
+        assert arith._IndexRecords()[22][4] == ((2, 1), (11, 1))
         assert len(arith._sieve_flags) <= 8
+
+    def test_records_match_the_oracle(self):
+        # every field of a record against the independent factorizer, on
+        # both sides of the retention limit; only n <= the limit is kept
+        limit = arith.INDEX_RECORD_LIMIT
+        indices = [*range(1, 301), *range(limit - 5, limit + 6), 3 * limit]
+        records = arith._IndexRecords()
+        for n in indices:
+            odd, plus, minus, top, factors = records[n]
+            oracle = tuple(sorted(factor_oracle(n).items()))
+            assert factors == oracle
+            assert top == (oracle[-1][0] if oracle else None)
+            assert odd == (n % 2 == 1)
+            # e = n/d at odd n, n/2d at even n, over the squarefree d of
+            # n's odd part, split by the sign of mu(d)
+            half = n if odd else n // 2
+            odd_primes = [p for p, _ in oracle if p != 2]
+            split = {1: [], -1: []}
+            for k in range(len(odd_primes) + 1):
+                for chosen in itertools.combinations(odd_primes, k):
+                    split[(-1) ** k].append(half // math.prod(chosen))
+            assert sorted(plus) == sorted(split[1]), n
+            assert sorted(minus) == sorted(split[-1]), n
+        assert sorted(records) == [n for n in indices if n <= limit]
+
+    def test_one_record_is_the_only_index_cache(self):
+        # cyclotomic, zsigmondy and aurifeuillian read arith's record
+        # itself, only arith defines its limit, and no module of the
+        # package keeps an lru_cache
+        from zsig import aurifeuillian, cli, cyclotomic, valuation, zsigmondy
+
+        assert cyclotomic._index_records is arith._index_records
+        assert zsigmondy._index_records is arith._index_records
+        assert aurifeuillian._index_records is arith._index_records
+        mods = (arith, aurifeuillian, cli, cyclotomic, valuation, zsigmondy)
+        assert [m for m in mods if hasattr(m, "INDEX_RECORD_LIMIT")] == [arith]
+        for mod in mods:
+            assert not [v for v in vars(mod).values() if hasattr(v, "cache_info")]
 
 
 class TestFactorizationInvariants:

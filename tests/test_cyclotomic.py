@@ -4,10 +4,9 @@ from math import gcd as _gcd, prod
 
 import pytest
 
-from zsig import aurifeuillian, cli, cyclotomic
-from zsig.arith import divisors, euler_phi, totient_sieve
+from zsig import arith, aurifeuillian, cli, cyclotomic
+from zsig.arith import INDEX_RECORD_LIMIT, divisors, euler_phi, totient_sieve
 from zsig.cyclotomic import (
-    INDEX_RECORD_LIMIT,
     IntPoly,
     Triple,
     bounds_check,
@@ -246,7 +245,8 @@ class TestDivisorProduct:
 
     def test_split_cache_stops_at_limit(self):
         # one per-index record holds the exponent splits, bounded for even
-        # and odd indices alike; it is cyclotomic's only module-level dict
+        # and odd indices alike; cyclotomic's only module-level dict is
+        # that record, imported from arith
         above = {4100, 4101, 4102, 8190}
         for n in above:
             assert eval_homogeneous(n, 3, 2) == eval_mobius(n, 3, 2)
@@ -265,7 +265,7 @@ class TestDivisorProduct:
     def test_coefficients_read_every_index_record(self, monkeypatch):
         # the coefficient build reads n's own record at every index, odd
         # or even, squarefree or not
-        monkeypatch.setattr(cyclotomic, "_index_records", cyclotomic._IndexRecords())
+        monkeypatch.setattr(cyclotomic, "_index_records", arith._IndexRecords())
         for n in range(1, 301):
             cyclotomic_coeffs(n)
         assert sorted(cyclotomic._index_records) == list(range(1, 301))
@@ -274,9 +274,9 @@ class TestDivisorProduct:
     def test_inexact_division_raises(self, monkeypatch, n, split):
         # a wrong split is caught by the exact division, in either form,
         # by the evaluator and by the coefficient build alike
-        odd, _, _, top = cyclotomic._index_records[n]
-        record = (odd, *split, top)
-        monkeypatch.setattr(cyclotomic, "_index_records", cyclotomic._IndexRecords({n: record}))
+        odd, _, _, top, factors = cyclotomic._index_records[n]
+        record = (odd, *split, top, factors)
+        monkeypatch.setattr(cyclotomic, "_index_records", arith._IndexRecords({n: record}))
         with pytest.raises(ArithmeticError, match="divisor product did not divide exactly"):
             eval_homogeneous(n, 3, 2)
         with pytest.raises(AssertionError, match="binomial division left a remainder"):

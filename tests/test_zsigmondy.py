@@ -4,9 +4,8 @@ from math import gcd as _gcd
 import pytest
 
 from zsig import arith, cyclotomic, zsigmondy
-from zsig.arith import Effort, factorize, vp
+from zsig.arith import INDEX_RECORD_LIMIT, Effort, factorize, vp
 from zsig.cyclotomic import (
-    INDEX_RECORD_LIMIT,
     Triple,
     _eval_homogeneous,
     cyclotomic_coeffs,
@@ -338,20 +337,20 @@ class TestDecisionReference:
                 assert d._asdict() == self._reference(a, b, n)
 
     def test_top_prime_lookup_is_bounded(self):
-        # P(n) comes from cyclotomic's per-index record, kept up to the
+        # P(n) comes from arith's per-index record, kept up to the
         # limit; indices above it are decided alike
         limit = INDEX_RECORD_LIMIT
         for n in (limit - 1, limit, limit + 1, limit + 4, 3 * limit):
             d = has_large_zsigmondy_fast(Triple(3, 2, n))
             assert d == tuple(self._reference(3, 2, n).values())
-        assert {limit - 1, limit} <= cyclotomic._index_records.keys()
-        assert max(cyclotomic._index_records) <= limit
-        # zsigmondy's only module-level dict is cyclotomic's record, imported
+        assert {limit - 1, limit} <= arith._index_records.keys()
+        assert max(arith._index_records) <= limit
+        # zsigmondy's only module-level dict is arith's record, imported
         caches = [
             v for k, v in vars(zsigmondy).items()
             if isinstance(v, dict) and not k.startswith("__")
         ]
-        assert len(caches) == 1 and caches[0] is cyclotomic._index_records
+        assert len(caches) == 1 and caches[0] is arith._index_records
 
     def test_rejects_n1_once_warm(self):
         # n = 1 has a record (P(1) is None) once the evaluator or the
@@ -359,7 +358,7 @@ class TestDecisionReference:
         # before reading any record
         eval_homogeneous(1, 2, 1)
         cyclotomic_coeffs(1)
-        assert cyclotomic._index_records[1] == (True, (1,), (), None)
+        assert arith._index_records[1] == (True, (1,), (), None, ())
         has_large_zsigmondy_fast(Triple(2, 1, 2))
         for _ in range(2):
             with pytest.raises(ValueError, match="the decision needs n >= 2"):
