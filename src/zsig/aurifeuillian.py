@@ -5,6 +5,8 @@ identities (On computing factors of cyclotomic polynomials, Math. Comp.
 For squarefree k > 1, with n' = k at k = 1 (mod 4) and n' = 2k otherwise,
 Phi_{n'}(x) = C(x)**2 - k*x*D(x)**2 for integer polynomials C and D, so
 at a*b = k*w**2 the value Phi_{n'}(a, b) splits as (C - k*w*D)(C + k*w*D).
+A value Phi_{n'm}(a, b), m odd, divides Phi_{n'}(a**m, b**m) and takes
+its two factors from that split by one gcd.
 cyclotomic._aurifeuillian_pieces decides by Schinzel's condition (1962)
 whether a value splits, and imports this module only then.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import _index_records, divisors, euler_phi, mobius
+from .arith import _index_records, euler_phi, mobius
 
 
 def _jacobi(k: int, j: int) -> int:
@@ -80,25 +82,16 @@ def _binary_form(coeffs: tuple[int, ...], x: int, y: int) -> int:
     return acc
 
 
-def factors(k: int, base: int, m: int, a: int, b: int, w: int) -> tuple[int, int]:
-    """(L, M) with L * M = Phi_n(a, b), for a*b = k*w**2 with k squarefree,
-    n' = base its base index and n = n' * m, m odd.  With P the primes of
-    m not dividing n' and s = m/P, Phi_n(a, b) is Phi_{n'P}(a**s, b**s),
-    the product of Phi_{n'}(a**se, b**se) to the power mu(P/e) over
-    e | P.  Each of those is C**2 - k*W**2*D**2 at (a*b)**se = k*W**2, so
-    it splits as (C - k*W*D) * (C + k*W*D), the two swapped where
-    (k | e) = -1, and L and M are the products of their sides; every
-    division is exact and checked."""
+def factors(k: int, base: int, m: int, a: int, b: int, w: int, value: int) -> tuple[int, int]:
+    """(L, M) with L * M = value = Phi_n(a, b), for a*b = k*w**2 with k
+    squarefree, n' = base its base index and n = n' * m, m odd.  The value
+    divides Phi_{n'}(a**m, b**m), which at (a*b)**m = k*W**2, W =
+    k**((m-1)/2) * w**m, splits as (C - k*W*D) * (C + k*W*D).  With P the
+    primes of m not dividing n', Brent's sign (k | P) orders the two
+    sides: L = gcd(value, C - (k | P)*k*W*D) and M = value // L."""
     p_part = math.prod(p for p, _ in _index_records[m][4] if base % p)
-    s = m // p_part
+    x, y = a**m, b**m
     gamma, delta = coefficients(k, base)
-    num, den = [1, 1], [1, 1]
-    for e in divisors(p_part):
-        se = s * e
-        c = _binary_form(gamma, a**se, b**se)
-        # the sign (k | e) swaps the two factors
-        kwd = _jacobi(k, e) * k ** ((se + 1) // 2) * w**se * _binary_form(delta, a**se, b**se)
-        acc = num if mobius(p_part // e) == 1 else den
-        acc[0] *= c - kwd
-        acc[1] *= c + kwd
-    return _exact_div(num[0], den[0]), _exact_div(num[1], den[1])
+    kwd = _jacobi(k, p_part) * k ** ((m + 1) // 2) * w**m * _binary_form(delta, x, y)
+    low = math.gcd(value, _binary_form(gamma, x, y) - kwd)
+    return low, value // low

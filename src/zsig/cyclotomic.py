@@ -27,7 +27,9 @@ independent of eval_homogeneous, since both read one record through one
 identity.
 
 For factoring, _power_pieces splits a value at a perfect-power pair and
-_aurifeuillian_pieces splits one into its Aurifeuillian factors L * M.
+_aurifeuillian_pieces splits one into its Aurifeuillian factors L * M:
+at n = n' * m, L is the gcd of the value with one side of Brent's split
+of Phi_{n'}(a**m, b**m), which the value divides, and M = value // L.
 """
 
 from __future__ import annotations
@@ -135,17 +137,14 @@ def _eval_homogeneous(n: int, a: int, b: int, record: tuple | None = None) -> in
     # eval_homogeneous without validation, for arguments already checked;
     # a caller that holds n's record passes it
     odd, plus, minus, _, _ = record or _index_records[n]
-    num = den = 1
     if odd:
-        for e in plus:
-            num *= a**e - b**e
-        for e in minus:
-            den *= a**e - b**e
-    else:
-        for e in plus:
-            num *= a**e + b**e
-        for e in minus:
-            den *= a**e + b**e
+        # every exponent of an odd index is odd: a**e - b**e = a**e + (-b)**e
+        b = -b
+    num = den = 1
+    for e in plus:
+        num *= a**e + b**e
+    for e in minus:
+        den *= a**e + b**e
     q, r = divmod(num, den)
     if r != 0:
         raise ArithmeticError("divisor product did not divide exactly")
@@ -172,7 +171,10 @@ def _aurifeuillian_pieces(n: int, a: int, b: int, value: int) -> list[int]:
     """Phi_n(a, b) = value as its Aurifeuillian factors L and M, less a
     factor equal to 1, when Schinzel's condition holds (1962): with k the
     squarefree part of a*b, k = 1 (mod 4) and n/k odd, or k = 2, 3 (mod 4)
-    and n/2k odd; [value] otherwise.  The factors come from Brent's
+    and n/2k odd; [value] otherwise.  With n' = k or 2k and n = n' * m,
+    L is the gcd of the value with one side of Brent's split of
+    Phi_{n'}(a**m, b**m), which the value divides, and M = value // L,
+    so L * M = value by construction.  The split comes from Brent's
     identities in the aurifeuillian module, imported only here, so that a
     command that meets no such value does not load it."""
     x = a * b
@@ -187,9 +189,7 @@ def _aurifeuillian_pieces(n: int, a: int, b: int, value: int) -> list[int]:
         return [value]
     from .aurifeuillian import factors
 
-    low, high = factors(k, base, n // base, a, b, w)
-    if low * high != value:
-        raise ArithmeticError("Aurifeuillian factors do not multiply to the value")
+    low, high = factors(k, base, n // base, a, b, w, value)
     return [v for v in (low, high) if v != 1]
 
 

@@ -300,7 +300,8 @@ def analyze(
     when a and b are both p-th powers, the value is factored as its
     cyclotomic._power_pieces instead, each over its own _phi_divisors,
     and a piece Phi_m(s, t) above the trial limit squared that meets
-    Schinzel's condition (1962) as its two Aurifeuillian factors
+    Schinzel's condition (1962) as its two Aurifeuillian factors L and
+    M = Phi_m(s, t) // L, L its gcd with one side of Brent's split
     (cyclotomic._aurifeuillian_pieces; Brent 1993), each over
     _phi_divisors(m).  All pieces share one rho
     budget, and the order-n filter runs on (a, b, n).

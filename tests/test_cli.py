@@ -1,6 +1,10 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from zsig import arith, cli, zsigmondy
 from zsig.cli import ScanConfig, main, run_scan
 from zsig.cyclotomic import Triple
 from zsig.zsigmondy import _NO_EXCEPTION, ExceptionCase, analyze, classify_prime_divisor
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -84,6 +90,17 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "4", "3", "2")
         assert code == 0
         assert "7" in out
+
+    def test_module_entry_point(self, capsys):
+        # python -m zsig runs __main__.py, which must print what main does
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zsig", "analyze", "4", "3", "2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        code, out, _ = run(capsys, "analyze", "4", "3", "2")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
 
     def test_exception_exit_one(self, capsys):
         code, out, _ = run(capsys, "analyze", "2", "1", "6")

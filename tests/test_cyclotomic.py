@@ -424,6 +424,19 @@ class TestAurifeuillianSplit:
         assert cyclotomic._aurifeuillian_pieces(4, 2, 1, 5) == [5]
         assert cyclotomic._aurifeuillian_pieces(12, 3, 2, 61) == [61]
 
+    def test_pieces_keep_their_order(self):
+        # analyze factors the pieces' remainders on one rho stack under one
+        # budget, so L before M is part of an incomplete report
+        cases = {
+            (5, 1, 15): [1741, 181],
+            (3, 1, 18): [19, 37],
+            (2, 1, 20): [41, 5],
+            (16, 13, 39): [324873334049941, 105707360404621],
+        }
+        for (a, b, n), pieces in cases.items():
+            value = cyclotomic._eval_homogeneous(n, a, b)
+            assert cyclotomic._aurifeuillian_pieces(n, a, b, value) == pieces, (a, b, n)
+
     def test_never_fires_off_the_condition(self):
         for a in range(2, 41):
             for b in range(1, a):

@@ -115,10 +115,13 @@ class TestAurifeuillianSplit:
     def test_completes_without_rho(self):
         # 29 * 4 and 29 * 9 have squarefree part 29 = 1 (mod 4), and 29/29
         # is odd: the value splits as L * M, of 20 and 22 digits at
-        # (29, 4, 29), which trial division completes with no rho step
-        for a, b in ((29, 4), (29, 9)):
-            rep = analyze(Triple(a, b, 29), Effort(10**6, 0))
-            assert rep.factorization_complete, (a, b)
+        # (29, 4, 29), which trial division completes with no rho step.
+        # At n = n' * m, m > 1: 16 * 13 has k = 13 and 39 = 13 * 3, 20 * 9
+        # has k = 5 and 45 = 5 * 9; unsplit, these two take 51.2M and
+        # 26,110 rho steps
+        for a, b, n in ((29, 4, 29), (29, 9, 29), (16, 13, 39), (20, 9, 45)):
+            rep = analyze(Triple(a, b, n), Effort(10**6, 0))
+            assert rep.factorization_complete, (a, b, n)
             assert rep.has_large
 
     def test_splits_only_above_trial_limit_squared(self, monkeypatch):
