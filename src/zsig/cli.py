@@ -16,7 +16,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 import time
 from typing import NamedTuple
@@ -29,8 +28,6 @@ EXIT_OK = 0
 EXIT_EXCEPTION = 1
 EXIT_INCOMPLETE = 2
 EXIT_BAD_INPUT = 3
-
-FORMAT_ENV_VAR = "ZSIG_FORMAT"
 
 # Scanner defaults, calibrated on the reference range (a <= 30, n <= 36):
 # small trial bound because the interesting factors are never tiny, and a
@@ -254,24 +251,12 @@ def _render_scan_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _default_format(flag_value: str | None, fallback: str) -> str:
-    if flag_value:
-        return flag_value
-    env = os.environ.get(FORMAT_ENV_VAR)
-    if env:
-        if env in ("json", "csv", "text"):
-            return env
-        print(f"ignoring invalid {FORMAT_ENV_VAR}={env!r}", file=sys.stderr)
-    return fallback
-
-
 def cmd_coeffs(args: argparse.Namespace) -> int:
     if args.n < 1:
-        print("n must be a positive integer", file=sys.stderr)
+        print("invalid input: n must be a positive integer", file=sys.stderr)
         return EXIT_BAD_INPUT
     poly = cyclotomic_coeffs(args.n)
-    fmt = _default_format(args.format, "text")
-    if fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -381,8 +366,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     rep = analyze(t, effort, args.M)
-    fmt = _default_format(args.format, "text")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(_analyze_payload(rep)))
     else:
         print(_render_analyze_text(rep))
@@ -394,11 +378,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         config = ScanConfig(
             a_max=args.a_max,
             n_max=args.n_max,
-            effort=Effort(
-                args.trial_bound, None if args.rho_budget == 0 else args.rho_budget
-            ),
+            effort=Effort(args.trial_bound, args.rho_budget),
             parallelism=args.jobs,
-            output_format=_default_format(args.format, "json"),
+            output_format=args.format,
         )
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
@@ -428,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeffs = sub.add_parser("coeffs", help="cyclotomic coefficient vector")
     p_coeffs.add_argument("n", type=int)
-    p_coeffs.add_argument("--format", choices=["json", "text"], default=None)
+    p_coeffs.add_argument("--format", choices=["json", "text"], default="text")
     p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_eval = sub.add_parser("eval", help="homogeneous cyclotomic value")
@@ -442,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("b", type=int)
     p_analyze.add_argument("n", type=int)
     p_analyze.add_argument("--M", type=int, default=1, help="large means squared or > M*n+1")
-    p_analyze.add_argument("--format", choices=["json", "text"], default=None)
+    p_analyze.add_argument("--format", choices=["json", "text"], default="text")
     p_analyze.add_argument("--trial-bound", type=int, default=ANALYZE_TRIAL_BOUND)
     p_analyze.add_argument("--rho-budget", type=int, default=ANALYZE_RHO_BUDGET)
     p_analyze.set_defaults(func=cmd_analyze)
@@ -450,15 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="exhaustive range verification")
     p_scan.add_argument("--a-max", type=int, required=True)
     p_scan.add_argument("--n-max", type=int, required=True)
-    p_scan.add_argument("--format", choices=["json", "csv", "text"], default=None)
+    p_scan.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--trial-bound", type=int, default=SCAN_TRIAL_BOUND)
-    p_scan.add_argument(
-        "--rho-budget",
-        type=int,
-        default=SCAN_RHO_BUDGET,
-        help="rho step budget per value; 0 means unbounded",
-    )
+    p_scan.add_argument("--rho-budget", type=int, default=SCAN_RHO_BUDGET)
     p_scan.set_defaults(func=cmd_scan)
     return parser
 

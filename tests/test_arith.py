@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from zsig.arith import (
     totient_sieve,
     vp,
 )
+from zsig.cli import ANALYZE_RHO_BUDGET, ANALYZE_TRIAL_BOUND, main
 from oracles import (
     EXACT_BELOW,
     brent_rho_reference,
@@ -394,3 +399,119 @@ class TestDivisors:
         assert divisors(1) == [1]
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(49) == [1, 7, 49]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# gmpy2 as arith uses it.  mpz is an int subclass, so the arithmetic is
+# the stdlib's and only the type of what powmod, gcd and iroot return
+# shows where gmpy2's numbers go: this checks the branch's plumbing, not
+# gmpy2's arithmetic.
+GMPY2_STUB = """
+import math
+
+
+class mpz(int):
+    pass
+
+
+def powmod(x, y, m):
+    return mpz(pow(x, y, m))
+
+
+def gcd(x, y):
+    return mpz(math.gcd(x, y))
+
+
+def iroot(x, k):
+    lo, hi = 0, 1 << (int(x).bit_length() // k + 1)
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if mid**k <= x:
+            lo = mid
+        else:
+            hi = mid
+    return mpz(lo), lo**k == x
+"""
+
+# Prints the field path of every mpz inside the reports of the triples
+# given as a,b,n,budget arguments, their Factorization included, and in
+# the factorization of (2^31 - 1)^2, whose root no trial division finds.
+REPORT_SCRIPT = """
+import sys
+
+import gmpy2
+from zsig import arith
+from zsig.arith import Effort, factorize
+from zsig.cyclotomic import Triple
+from zsig.zsigmondy import analyze
+
+assert arith.mpz is gmpy2.mpz
+
+
+def mpz_paths(value, path):
+    if type(value) is gmpy2.mpz:
+        yield path
+    elif isinstance(value, tuple):
+        names = getattr(value, "_fields", range(len(value)))
+        for name, item in zip(names, value):
+            yield from mpz_paths(item, f"{path}.{name}")
+
+
+trial_bound = int(sys.argv[1])
+for arg in sys.argv[2:]:
+    a, b, n, budget = map(int, arg.split(","))
+    report = analyze(Triple(a, b, n), Effort(trial_bound, budget))
+    for path in mpz_paths(report, f"({a},{b},{n})"):
+        print(path)
+for path in mpz_paths(factorize((2**31 - 1) ** 2), "(2^31 - 1)^2"):
+    print(path)
+"""
+
+
+class TestGmpy2Branch:
+    @pytest.fixture(scope="class")
+    def stub_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("gmpy2_stub")
+        (path / "gmpy2.py").write_text(GMPY2_STUB)
+        return os.pathsep.join([str(path), str(SRC)])
+
+    def run_stubbed(self, stub_path, *args):
+        # bytes, decoded without newline translation: the CSV ends rows in \r\n
+        proc = subprocess.run(
+            [sys.executable, *args],
+            env={**os.environ, "PYTHONPATH": stub_path},
+            capture_output=True, timeout=120,
+        )
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "30", "1", "29", "--format", "json"],
+            ["analyze", "16", "13", "39", "--format", "json"],
+            ["analyze", "25", "1", "29"],
+            ["scan", "--a-max", "12", "--n-max", "14", "--format", "csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_outputs_match_the_stdlib_run(self, capsys, stub_path, argv):
+        stubbed = self.run_stubbed(stub_path, "-m", "zsig", *argv)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert stubbed == (code, captured.out, captured.err)
+
+    def test_no_mpz_reaches_a_report(self, stub_path):
+        # (13,4,31) stops at 1000 rho steps, so its report keeps a cofactor
+        triples = [
+            f"30,1,29,{ANALYZE_RHO_BUDGET}",
+            f"16,13,39,{ANALYZE_RHO_BUDGET}",
+            f"25,1,29,{ANALYZE_RHO_BUDGET}",
+            f"29,4,29,{ANALYZE_RHO_BUDGET}",
+            "13,4,31,1000",
+        ]
+        code, out, err = self.run_stubbed(
+            stub_path, "-c", REPORT_SCRIPT, str(ANALYZE_TRIAL_BOUND), *triples
+        )
+        assert (code, err) == (0, "")
+        assert out == ""

@@ -45,8 +45,10 @@ class TestCoeffs:
         assert payload["euler_phi"] == 48
 
     def test_rejects_zero(self, capsys):
-        code, _, err = run(capsys, "coeffs", "0")
+        code, out, err = run(capsys, "coeffs", "0")
         assert code == 3
+        assert out == ""
+        assert err == "invalid input: n must be a positive integer\n"
 
     def test_rejects_garbage(self, capsys):
         code, _, _ = run(capsys, "coeffs", "six")
@@ -454,26 +456,26 @@ class TestScan:
         row = next(l for l in out.splitlines() if l.startswith("4,3,5,781,"))
         assert row.split(",")[-1] == "2"
 
-    def test_env_var_default(self, capsys, monkeypatch):
+    def test_format_ignores_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("ZSIG_FORMAT", "csv")
-        code, out, _ = run(capsys, "scan", "--a-max", "3", "--n-max", "4")
-        assert code == 0
-        assert out.startswith("a,b,n,")
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZSIG_FORMAT", "csv")
-        code, out, _ = run(
-            capsys, "scan", "--a-max", "3", "--n-max", "4", "--format", "json"
-        )
-        assert code == 0
-        json.loads(out)
-
-    def test_invalid_env_warns_and_falls_back(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZSIG_FORMAT", "yaml")
         code, out, err = run(capsys, "scan", "--a-max", "3", "--n-max", "4")
         assert code == 0
-        json.loads(out)
-        assert "ZSIG_FORMAT" in err
+        assert json.loads(out)["config"]["output_format"] == "json"
+        assert err == ""
+        code, out, err = run(capsys, "analyze", "4", "3", "2")
+        assert code == 0
+        assert out.startswith("triple a=4 b=3 n=2\n")
+        assert err == ""
+
+    def test_zero_rho_budget_means_no_rho_step(self, capsys):
+        # as in analyze: trial division below 10 leaves 781 = 11 * 71 whole
+        argv = ["--trial-bound", "10", "--rho-budget", "0"]
+        code, out, _ = run(
+            capsys, "scan", "--a-max", "5", "--n-max", "5", *argv, "--format", "csv"
+        )
+        assert code == 2
+        assert "4,3,5,781,,,none,2" in out.splitlines()
+        assert run(capsys, "analyze", "4", "3", "5", *argv)[0] == 2
 
     def test_rejects_tiny_range(self, capsys):
         code, _, _ = run(capsys, "scan", "--a-max", "1", "--n-max", "5")
