@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 from .arith import Effort, _Validated, gcd
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
-from .zsigmondy import ExceptionCase, ZsigReport, _classify_prime_divisor, analyze
+from .zsigmondy import ExceptionKind, ZsigReport, analyze
+from .zsigmondy import _classify_prime_divisor, _table_agrees
 
 EXIT_OK = 0
 EXIT_EXCEPTION = 1
@@ -50,7 +51,6 @@ class ScanConfig(
             ("n_max", int),
             ("effort", Effort),
             ("parallelism", int),
-            ("output_format", str),
         ],
     )
 ):
@@ -62,15 +62,12 @@ class ScanConfig(
         n_max: int,
         effort: Effort = Effort(SCAN_TRIAL_BOUND, SCAN_RHO_BUDGET),
         parallelism: int = 1,
-        output_format: str = "json",
     ) -> ScanConfig:
         if a_max < 2 or n_max < 2:
             raise ValueError("a_max and n_max must be at least 2")
         if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        if output_format not in ("json", "csv", "text"):
-            raise ValueError("format must be json, csv, or text")
-        return tuple.__new__(cls, (a_max, n_max, effort, parallelism, output_format))
+        return tuple.__new__(cls, (a_max, n_max, effort, parallelism))
 
 
 class ScanRow(NamedTuple):
@@ -82,15 +79,14 @@ class ScanRow(NamedTuple):
     phi_value: int
     zsig: tuple[tuple[int, int], ...]
     large: tuple[int, ...]
-    exception: ExceptionCase
-    has_zsigmondy: bool
+    exception: ExceptionKind
     has_large: bool
-    fast_has_large: bool
-    residual: int
     complete: bool
 
-    # the report's one definition, read from the row's exception and has_large
-    table_agrees = ZsigReport.table_agrees
+    @property
+    def table_agrees(self) -> bool:
+        # rows are built at M = 1, where has_large is the table's verdict
+        return _table_agrees(self.exception, self.has_large)
 
 
 def _scan_pair(job: tuple[int, int, int, Effort]) -> list[ScanRow]:
@@ -100,9 +96,8 @@ def _scan_pair(job: tuple[int, int, int, Effort]) -> list[ScanRow]:
         rep = analyze(Triple(a, b, n), effort)
         rows.append(
             ScanRow(
-                a, b, n, rep.phi_value, rep.zsig_primes, rep.large_zsig_primes,
-                rep.exception, rep.has_zsigmondy, rep.has_large,
-                rep.fast.has_large, rep.fast.residual, rep.factorization_complete,
+                a, b, n, rep.fast.phi_value, rep.zsig_primes, rep.large_zsig_primes,
+                rep.exception, rep.has_large, rep.phi_factors.complete,
             )
         )
     return rows
@@ -154,7 +149,7 @@ def run_scan(config: ScanConfig) -> tuple[dict, list[ScanRow]]:
         exc = r.exception
         key = {"a": r.a, "b": r.b, "n": r.n}
         if exc.is_exception:
-            exceptions.append({**key, "case": exc.kind.value, "witness": exc.witness()})
+            exceptions.append({**key, "case": exc.value, "witness": exc.witness(r.a, r.b)})
         if not r.table_agrees:
             mismatches.append(
                 {
@@ -172,7 +167,8 @@ def run_scan(config: ScanConfig) -> tuple[dict, list[ScanRow]]:
             "trial_division_bound": config.effort.trial_division_bound,
             "rho_step_budget": config.effort.rho_step_budget,
             "parallelism": config.parallelism,
-            "output_format": config.output_format,
+            # the report is printed only as JSON
+            "output_format": "json",
         },
         "summary": {
             "triples_scanned": len(rows),
@@ -218,7 +214,7 @@ def _render_scan_csv(rows: list[ScanRow]) -> str:
                 r.phi_value,
                 ";".join(f"{q}^{e}" if e > 1 else str(q) for q, e in r.zsig),
                 ";".join(str(q) for q in r.large),
-                r.exception.kind.value,
+                r.exception.value,
                 _triple_exit_code(r.complete, r.has_large),
             ]
         )
@@ -252,10 +248,11 @@ def _render_scan_text(report: dict) -> str:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        print("invalid input: n must be a positive integer", file=sys.stderr)
+    try:
+        poly = cyclotomic_coeffs(args.n)
+    except ValueError as err:
+        print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    poly = cyclotomic_coeffs(args.n)
     if args.format == "json":
         print(
             json.dumps(
@@ -289,17 +286,17 @@ def _analyze_payload(rep: ZsigReport) -> dict:
         "a": t.a,
         "b": t.b,
         "n": t.n,
-        "phi_value": rep.phi_value,
+        "phi_value": fast.phi_value,
         "zsig": rep.zsig_primes,
         "large": rep.large_zsig_primes,
-        "exception_kind": exc.kind.value,
-        "witness": exc.witness(),
+        "exception_kind": exc.value,
+        "witness": exc.witness(t.a, t.b),
         "is_exception": exc.is_exception,
-        "has_zsigmondy": rep.has_zsigmondy,
+        "has_zsigmondy": fast.residual > 1,
         "has_large": rep.has_large,
         "fast_has_large": fast.has_large,
         "residual": fast.residual,
-        "complete": rep.factorization_complete,
+        "complete": fac.complete,
         "table_agrees": rep.table_agrees,
         "factors": [[p, e] for p, e in fac.factors],
         "cofactor": fac.cofactor,
@@ -310,7 +307,7 @@ def _analyze_payload(rep: ZsigReport) -> dict:
 
 def _render_analyze_text(rep: ZsigReport) -> str:
     t = rep.triple
-    lines = [f"triple a={t.a} b={t.b} n={t.n}", f"value {rep.phi_value}"]
+    lines = [f"triple a={t.a} b={t.b} n={t.n}", f"value {rep.fast.phi_value}"]
     fac = rep.phi_factors
     parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in fac.factors]
     if not fac.complete:
@@ -338,14 +335,12 @@ def _render_analyze_text(rep: ZsigReport) -> str:
     )
     exc = rep.exception
     if exc.is_exception:
-        lines.append(f"exception: {exc.kind.value} {exc.witness()}")
+        lines.append(f"exception: {exc.value} {exc.witness(t.a, t.b)}")
     else:
         lines.append("exception: none")
-    if not rep.factorization_complete:
+    if not fac.complete:
         lines.append("warning: factorization incomplete, prime list partial")
-    if rep.large_multiplier == 1 and not rep.table_agrees:
-        # The table is a statement about the plain threshold only, so a
-        # disagreement under --M > 1 would be noise, not a finding.
+    if not rep.table_agrees:
         lines.append(
             "MISMATCH: the exception table predicts "
             + ("a large prime" if not exc.is_exception else "no large prime")
@@ -370,7 +365,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(json.dumps(_analyze_payload(rep)))
     else:
         print(_render_analyze_text(rep))
-    return _triple_exit_code(rep.factorization_complete, rep.has_large)
+    return _triple_exit_code(rep.phi_factors.complete, rep.has_large)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -380,15 +375,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
             n_max=args.n_max,
             effort=Effort(args.trial_bound, args.rho_budget),
             parallelism=args.jobs,
-            output_format=args.format,
         )
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     report, rows = run_scan(config)
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(report, indent=2))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         sys.stdout.write(_render_scan_csv(rows))
     else:
         print(_render_scan_text(report))

@@ -110,7 +110,7 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
     exact; every binomial division checks its remainder.
     """
     if n < 1:
-        raise ValueError("index must be a positive integer")
+        raise ValueError("n must be a positive integer")
     odd, plus, minus, _, _ = _index_records[n]
     c = -1 if odd else 1
     s = math.gcd(*plus, *minus)

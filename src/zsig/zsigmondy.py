@@ -62,34 +62,21 @@ class ExceptionKind(Enum):
     SMALL_PAIR_N6 = "small_pair_n6"
     PAIR_2_1_N10_12_18 = "pair_2_1_n10_12_18"
 
+    @property
+    def is_exception(self) -> bool:
+        return self is not _KIND_NONE
+
+    def witness(self, a: int, b: int) -> dict:
+        """The table's evidence for (a, b): a + b = 2^s * 3^t at n = 2, else the pair."""
+        if self is _KIND_NONE:
+            return {}
+        if self in (ExceptionKind.SUM_POWER_OF_TWO, ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO):
+            return {"s": vp(a + b, 2), "t": vp(a + b, 3)}
+        return {"pair": [a, b]}
+
 
 # read per is_exception call: the class attribute lookup costs more
 _KIND_NONE = ExceptionKind.NONE
-
-
-class ExceptionCase(NamedTuple):
-    kind: ExceptionKind
-    s: int | None = None
-    t: int | None = None
-    pair: tuple[int, int] | None = None
-
-    @property
-    def is_exception(self) -> bool:
-        return self.kind is not _KIND_NONE
-
-    def witness(self) -> dict:
-        out: dict = {}
-        if self.s is not None:
-            out["s"] = self.s
-        if self.t is not None:
-            out["t"] = self.t
-        if self.pair is not None:
-            out["pair"] = list(self.pair)
-        return out
-
-
-# the frozen result shared by every triple the table does not list
-_NO_EXCEPTION = ExceptionCase(ExceptionKind.NONE)
 
 # The paper's table of the triples with no large Zsigmondy prime, as
 # (n, members, kind) rows.  A member is an (a, b) pair, except at n = 2,
@@ -127,21 +114,23 @@ class FastDecision(NamedTuple):
 
 class ZsigReport(NamedTuple):
     triple: Triple
-    phi_value: int
     zsig_primes: tuple[tuple[int, int], ...]
     large_zsig_primes: tuple[int, ...]
-    has_zsigmondy: bool
     has_large: bool
-    exception: ExceptionCase
-    factorization_complete: bool
+    exception: ExceptionKind
     phi_factors: Factorization
     fast: FastDecision
     large_multiplier: int = 1
 
     @property
     def table_agrees(self) -> bool:
-        """Whether the exception table predicted has_large correctly."""
-        return (not self.exception.is_exception) == self.has_large
+        """Whether the exception table predicted the M = 1 verdict fast.has_large."""
+        return _table_agrees(self.exception, self.fast.has_large)
+
+
+def _table_agrees(exception: ExceptionKind, has_large: bool) -> bool:
+    # the one definition of agreement, for reports and for scan rows
+    return exception.is_exception != has_large
 
 
 def _order_equals(q: int, a: int, b: int, n: int) -> bool:
@@ -261,9 +250,9 @@ def sufficiency_check(t: Triple) -> bool:
     return (t.n + 1) * largest_prime_divisor(t.n) < value
 
 
-def classify_exception(t: Triple) -> ExceptionCase:
-    """Pure table lookup: the first EXCEPTION_TABLE row that holds the
-    triple names it.
+def classify_exception(t: Triple) -> ExceptionKind:
+    """Pure table lookup: the kind of the first EXCEPTION_TABLE row that
+    holds the triple, NONE when no row does.
 
     Entirely syntactic (the only arithmetic is the odd part of a + b at
     n = 2), so comparing it against computed existence is a genuine
@@ -273,19 +262,13 @@ def classify_exception(t: Triple) -> ExceptionCase:
     if n not in _TABLE_INDICES:
         if n < 2:
             raise ValueError("the exception table starts at n = 2")
-        return _NO_EXCEPTION
-    if n == 2:
-        s = vp(a + b, 2)
-        member = (a + b) >> s
-    else:
-        member = (a, b)
-    if (n, member) not in _TABLE_MEMBERS:
-        return _NO_EXCEPTION
-    for m, members, kind in EXCEPTION_TABLE:
-        if m == n and member in members:
-            if n == 2:
-                return ExceptionCase(kind, s=s, t=vp(member, 3))
-            return ExceptionCase(kind, pair=member)
+        return _KIND_NONE
+    member = (a + b) >> vp(a + b, 2) if n == 2 else (a, b)
+    if (n, member) in _TABLE_MEMBERS:
+        for m, members, kind in EXCEPTION_TABLE:
+            if m == n and member in members:
+                return kind
+    return _KIND_NONE
 
 
 def analyze(
@@ -294,7 +277,7 @@ def analyze(
     """Full per-triple report: decide first, then factor to list primes.
 
     The verdicts come from the factorization-free decision, exact whether
-    or not the budget lets the value split: has_zsigmondy is residual > 1
+    or not the budget lets the value split: the report keeps it as fast,
     and has_large is _has_m_large at the report's multiplier.  Factoring
     the same cyclotomic value over _phi_divisors(n) adds the prime lists;
     when a and b are both p-th powers, the value is factored as its
@@ -310,10 +293,11 @@ def analyze(
     in the cyclotomic value, because no other divisor level can contain
     it; the report records that shared exponent.  large_zsig_primes holds
     those squared in a**n - b**n or beyond multiplier * n + 1.  The lists
-    are partial when factorization_complete is False; when complete, they
+    are partial when phi_factors.complete is False; when complete, they
     are asserted to multiply to the residual and to agree with has_large.
-    The exception table's prediction is recorded, where a disagreement is
-    data, not an error: the scanner collects such triples as mismatches.
+    The table's kind is judged against fast.has_large, the M = 1 verdict
+    it speaks of; a disagreement is data, not an error: the scanner
+    collects such triples as mismatches.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be a positive integer")
@@ -334,8 +318,7 @@ def analyze(
     zsig = tuple((q, e) for q, e in fac.factors if _order_equals(q, a, b, n))
     large = tuple(q for q, e in zsig if e >= 2 or q > multiplier * n + 1)
     has_large = _has_m_large(fast, n, multiplier)
-    complete = fac.complete
-    if complete:
+    if fac.complete:
         if math.prod(q**e for q, e in zsig) != fast.residual:
             raise AssertionError(f"order-{n} primes do not multiply to {t}'s residual")
         if bool(large) != has_large:
@@ -347,13 +330,10 @@ def analyze(
                 raise AssertionError(f"order-{n} prime {q} violates its invariants")
     return ZsigReport(
         triple=t,
-        phi_value=fast.phi_value,
         zsig_primes=zsig,
         large_zsig_primes=large,
-        has_zsigmondy=fast.residual > 1,
         has_large=has_large,
         exception=exception,
-        factorization_complete=complete,
         phi_factors=fac,
         fast=fast,
         large_multiplier=multiplier,

@@ -40,6 +40,10 @@ def _coprime_pairs(a_max):
                 yield a, b
 
 
+def _fast(row):
+    return has_large_zsigmondy_fast(Triple(row.a, row.b, row.n))
+
+
 def _odd_part(x):
     while x % 2 == 0:
         x //= 2
@@ -217,8 +221,10 @@ def test_criterion_5_inequality_suites():
 @pytest.mark.slow
 def test_criterion_6_classic_exceptions(reference_scan):
     _, rows = reference_scan
+    # the fast decision, recomputed per row: its residual is 1 exactly
+    # when no order-n prime exists
     no_zsig = {
-        (r.a, r.b, r.n) for r in rows if not r.has_zsigmondy
+        (r.a, r.b, r.n) for r in rows if _fast(r).residual == 1
     }
     expected = {(2, 1, 6)} | {
         (a, b, 2)
@@ -240,16 +246,18 @@ def test_criterion_7_fast_decision_equivalence(reference_scan):
     _, rows = reference_scan
     complete = [r for r in rows if r.complete]
     partial = [r for r in rows if not r.complete]
+    # the fast decision is recomputed per row, independent of the scan
     for r in complete:
-        assert r.fast_has_large == bool(r.large), (
+        assert _fast(r).has_large == bool(r.large), (
             r.a, r.b, r.n,
         )
     # where the factorization did not finish, the unfactored residual is a
     # product of order-n primes each exceeding n + 1, so the fast decision
     # must say yes there
     for r in partial:
-        assert r.fast_has_large, (r.a, r.b, r.n)
-        assert r.residual > r.n + 1
+        fast = _fast(r)
+        assert fast.has_large, (r.a, r.b, r.n)
+        assert fast.residual > r.n + 1
     print(
         f"\nACCEPTANCE criterion 7 [PASS]: factorization-free decision "
         f"matches the factored list on all {len(complete)} completed "

@@ -11,7 +11,7 @@ import pytest
 from zsig import arith, cli, zsigmondy
 from zsig.cli import ScanConfig, main, run_scan
 from zsig.cyclotomic import Triple
-from zsig.zsigmondy import _NO_EXCEPTION, ExceptionCase, analyze, classify_prime_divisor
+from zsig.zsigmondy import ExceptionKind, analyze, classify_prime_divisor
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -139,6 +139,24 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "4", "3", "2", "--M", "3")
         assert code == 1  # 7 is not beyond 3*2+1
         assert "MISMATCH" not in out
+
+    def test_table_is_judged_at_m_one(self, capsys):
+        # the table speaks of M = 1, where 7 > 2 + 1 is large, so a larger
+        # --M leaves its agreement as it is
+        code, out, _ = run(capsys, "analyze", "4", "3", "2", "--M", "3", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["has_large"], payload["fast_has_large"]) == (False, True)
+        assert payload["table_agrees"] is True
+
+    def test_mismatch_line_rendered_at_any_multiplier(self, capsys):
+        # (5,1,6) disagrees with the table at M = 1, and --M does not hide it
+        code, out, _ = run(capsys, "analyze", "5", "1", "6", "--M", "2")
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "MISMATCH: the exception table predicts a large prime"
+            " but computation shows otherwise"
+        )
 
     def test_text_classifies_validated_primes(self, monkeypatch):
         # each listed prime's line is classify_prime_divisor's answer, and
@@ -371,14 +389,14 @@ class TestScan:
         assert held < 630 * count
 
     def test_rows_share_the_exception_case(self):
-        # a row holds its report's ExceptionCase, and every row the table
-        # does not list holds the one shared case, not a witness of its own
+        # a row holds the table's ExceptionKind member, the one object
+        # every row of that kind shares, and no witness of its own
         _, rows = run_scan(ScanConfig(12, 12))
         plain = [r for r in rows if not r.exception.is_exception]
         assert len(plain) == 478
-        assert all(r.exception is _NO_EXCEPTION for r in plain)
+        assert all(r.exception is ExceptionKind.NONE for r in plain)
         listed = [r.exception for r in rows if r.exception.is_exception]
-        assert [type(e) for e in listed] == [ExceptionCase] * 17
+        assert [type(e) for e in listed] == [ExceptionKind] * 17
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -532,7 +550,7 @@ class TestScan:
                 key = {"a": a, "b": b, "n": n}
                 if exc.is_exception:
                     exceptions.append(
-                        {**key, "case": exc.kind.value, "witness": exc.witness()}
+                        {**key, "case": exc.value, "witness": exc.witness(a, b)}
                     )
                 if (not exc.is_exception) != rep.has_large:
                     mismatches.append(
@@ -542,7 +560,7 @@ class TestScan:
                             "computed_has_large": rep.has_large,
                         }
                     )
-                if not rep.factorization_complete:
+                if not rep.phi_factors.complete:
                     incomplete.append(key)
         assert report["exceptions"] == exceptions
         assert report["mismatches"] == mismatches

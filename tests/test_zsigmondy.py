@@ -62,7 +62,7 @@ class TestPhiTrialDivision:
         monkeypatch.setattr(arith, "_sieve_flags", bytearray())
         monkeypatch.setattr(arith, "_sieve_primes", [])
         rep = analyze(Triple(3, 2, 29), Effort())
-        assert rep.factorization_complete
+        assert rep.phi_factors.complete
         assert multiplicative_order(29, 30, 1) == 1
         assert len(arith._sieve_flags) <= 1024
 
@@ -77,12 +77,12 @@ class TestPowerPieces:
         for a, b in perfect_power_pairs(30):
             for n in range(2, 41):
                 rep = analyze(Triple(a, b, n), effort)
-                value = rep.phi_value
+                value = rep.fast.phi_value
                 unsplit = arith._factor(value, effort, [(value, _phi_divisors(n))])
                 if unsplit.complete:
                     assert rep.phi_factors == unsplit, (a, b, n)
                 else:
-                    split_only += rep.factorization_complete
+                    split_only += rep.phi_factors.complete
         assert split_only > 0
 
     def test_one_budget_across_pieces(self, monkeypatch):
@@ -99,7 +99,7 @@ class TestPowerPieces:
 
         monkeypatch.setattr(arith, "_brent_rho", recorded)
         rep = analyze(Triple(81, 1, 31), Effort(7, 1000))
-        assert not rep.factorization_complete
+        assert not rep.phi_factors.complete
         spent = 0
         for _, budget, used in calls:
             assert budget == 1000 - spent
@@ -121,7 +121,7 @@ class TestAurifeuillianSplit:
         # 26,110 rho steps
         for a, b, n in ((29, 4, 29), (29, 9, 29), (16, 13, 39), (20, 9, 45)):
             rep = analyze(Triple(a, b, n), Effort(10**6, 0))
-            assert rep.factorization_complete, (a, b, n)
+            assert rep.phi_factors.complete, (a, b, n)
             assert rep.has_large
 
     def test_splits_only_above_trial_limit_squared(self, monkeypatch):
@@ -137,11 +137,11 @@ class TestAurifeuillianSplit:
         monkeypatch.setattr(zsigmondy, "_aurifeuillian_pieces", pieces)
         small = analyze(Triple(5, 1, 5), Effort(7, 0))
         assert calls == [(5, 5, 1)]
-        assert small.factorization_complete
+        assert small.phi_factors.complete
         calls.clear()
         whole = analyze(Triple(5, 1, 5), Effort(100, 0))
         assert calls == []
-        assert whole.factorization_complete
+        assert whole.phi_factors.complete
         assert whole.zsig_primes == small.zsig_primes
 
 
@@ -159,7 +159,7 @@ class TestBruteForceEquivalence:
             for n in range(2, 25):
                 t = Triple(a, b, n)
                 rep = analyze(t)
-                assert rep.factorization_complete, (a, b, n)
+                assert rep.phi_factors.complete, (a, b, n)
                 zsig = list(rep.zsig_primes)
                 large = list(rep.large_zsig_primes)
                 ozsig, olarge = brute_zsigmondy(a, b, n)
@@ -481,37 +481,37 @@ class TestClassifyException:
 
     def test_examples(self):
         c = classify_exception(Triple(5, 4, 6))
-        assert c.kind is ExceptionKind.SMALL_PAIR_N6
-        assert c.pair == (5, 4)
+        assert c is ExceptionKind.SMALL_PAIR_N6
+        assert c.witness(5, 4) == {"pair": [5, 4]}
         c = classify_exception(Triple(7, 2, 2))
-        assert c.kind is ExceptionKind.NONE
+        assert c is ExceptionKind.NONE
         assert not c.is_exception
         c = classify_exception(Triple(2, 1, 10))
-        assert c.kind is ExceptionKind.PAIR_2_1_N10_12_18
+        assert c is ExceptionKind.PAIR_2_1_N10_12_18
         # and every coprime a <= 120, 2 <= n <= 60
         for a, b in _coprime_pairs(120):
             for n in range(2, 61):
                 c = classify_exception(Triple(a, b, n))
-                assert (c.kind, c.witness()) == self._expected(a, b, n), (a, b, n)
+                assert (c, c.witness(a, b)) == self._expected(a, b, n), (a, b, n)
 
     def test_n2_sum_of_two_powers(self):
         c = classify_exception(Triple(5, 3, 2))
-        assert c.kind is ExceptionKind.SUM_POWER_OF_TWO
-        assert (c.s, c.t) == (3, 0)
+        assert c is ExceptionKind.SUM_POWER_OF_TWO
+        assert c.witness(5, 3) == {"s": 3, "t": 0}
         c = classify_exception(Triple(2, 1, 2))
-        assert c.kind is ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO
-        assert (c.s, c.t) == (0, 1)
+        assert c is ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO
+        assert c.witness(2, 1) == {"s": 0, "t": 1}
         c = classify_exception(Triple(11, 1, 2))
-        assert c.kind is ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO
-        assert (c.s, c.t) == (2, 1)
+        assert c is ExceptionKind.SUM_THREE_TIMES_POWER_OF_TWO
+        assert c.witness(11, 1) == {"s": 2, "t": 1}
         c = classify_exception(Triple(7, 2, 2))
-        assert c.kind is ExceptionKind.NONE  # 9 = 3^2 has t = 2
+        assert c is ExceptionKind.NONE  # 9 = 3^2 has t = 2
 
     def test_262116_precedence(self):
         # (2,1,6) sits in two rows of the table; the classic no-prime-at-
         # all case wins over the small-pair row.
         c = classify_exception(Triple(2, 1, 6))
-        assert c.kind is ExceptionKind.TRIPLE_2_1_6
+        assert c is ExceptionKind.TRIPLE_2_1_6
         # the literal's shape: every kind but NONE names a row, and
         # (2,1,6) is the only triple in two rows
         kinds = [kind for _, _, kind in EXCEPTION_TABLE]
@@ -520,11 +520,11 @@ class TestClassifyException:
         assert [key for key, count in listed.items() if count > 1] == [(6, (2, 1))]
 
     def test_n4_and_n6_pairs(self):
-        assert classify_exception(Triple(3, 1, 4)).kind is ExceptionKind.SMALL_PAIR_N4
-        assert classify_exception(Triple(2, 1, 4)).kind is ExceptionKind.SMALL_PAIR_N4
-        assert classify_exception(Triple(4, 1, 4)).kind is ExceptionKind.NONE
-        assert classify_exception(Triple(3, 2, 6)).kind is ExceptionKind.SMALL_PAIR_N6
-        assert classify_exception(Triple(5, 2, 6)).kind is ExceptionKind.NONE
+        assert classify_exception(Triple(3, 1, 4)) is ExceptionKind.SMALL_PAIR_N4
+        assert classify_exception(Triple(2, 1, 4)) is ExceptionKind.SMALL_PAIR_N4
+        assert classify_exception(Triple(4, 1, 4)) is ExceptionKind.NONE
+        assert classify_exception(Triple(3, 2, 6)) is ExceptionKind.SMALL_PAIR_N6
+        assert classify_exception(Triple(5, 2, 6)) is ExceptionKind.NONE
 
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
@@ -535,40 +535,51 @@ class TestClassifyException:
         c = classify_exception(Triple(7, 2, 2))
         assert classify_exception(Triple(4, 1, 4)) is c
         assert classify_exception(Triple(11, 3, 31)) is c
-        assert c.kind is ExceptionKind.NONE and c.witness() == {}
+        assert c is ExceptionKind.NONE and c.witness(7, 2) == {}
         with pytest.raises(AttributeError):
-            c.kind = ExceptionKind.SMALL_PAIR_N4
-        assert c.kind is ExceptionKind.NONE
+            c.value = ExceptionKind.SMALL_PAIR_N4.value
+        assert c.value == "none"
 
     def test_witness_shapes(self):
-        w = classify_exception(Triple(5, 3, 2)).witness()
+        w = classify_exception(Triple(5, 3, 2)).witness(5, 3)
         assert w == {"s": 3, "t": 0}
-        w = classify_exception(Triple(5, 4, 6)).witness()
+        w = classify_exception(Triple(5, 4, 6)).witness(5, 4)
         assert w == {"pair": [5, 4]}
+
+    def test_witness_on_every_row(self):
+        # the witnesses the folded-in records carried; at n = 2 a member is
+        # the odd part of a + b, and 5 + 3 = 2^3, 5 + 1 = 2 * 3
+        n2 = {1: ((5, 3), {"s": 3, "t": 0}), 3: ((5, 1), {"s": 1, "t": 1})}
+        for n, members, kind in EXCEPTION_TABLE:
+            for member in members:
+                (a, b), want = n2[member] if n == 2 else (member, {"pair": list(member)})
+                assert kind.witness(a, b) == want, (n, member, kind)
+        assert ExceptionKind.NONE.witness(5, 3) == {}
+        assert ExceptionKind.SMALL_PAIR_N6.witness(5, 4) == {"pair": [5, 4]}
 
 
 class TestAnalyze:
     def test_example_2_1_6(self):
         rep = analyze(Triple(2, 1, 6))
-        assert not rep.has_zsigmondy
+        assert rep.fast.residual == 1  # no Zsigmondy prime at all
         assert not rep.has_large
-        assert rep.exception.kind is ExceptionKind.TRIPLE_2_1_6
+        assert rep.exception is ExceptionKind.TRIPLE_2_1_6
         assert rep.table_agrees
-        assert rep.phi_value == 3
+        assert rep.fast.phi_value == 3
 
     def test_example_3_1_6(self):
         rep = analyze(Triple(3, 1, 6))
-        assert rep.has_zsigmondy
+        assert rep.fast.residual > 1
         assert rep.zsig_primes == ((7, 1),)
         assert not rep.has_large
-        assert rep.exception.kind is ExceptionKind.SMALL_PAIR_N6
+        assert rep.exception is ExceptionKind.SMALL_PAIR_N6
         assert rep.table_agrees
 
     def test_example_4_3_2(self):
         rep = analyze(Triple(4, 3, 2))
         assert rep.has_large
         assert rep.large_zsig_primes == (7,)
-        assert rep.exception.kind is ExceptionKind.NONE
+        assert rep.exception is ExceptionKind.NONE
         assert rep.table_agrees
 
     def test_table_disagreements_are_reported_not_raised(self):
@@ -579,7 +590,7 @@ class TestAnalyze:
             rep = analyze(Triple(a, b, n))
             assert rep.zsig_primes == ((n + 1, 1),)
             assert not rep.has_large
-            assert rep.exception.kind is ExceptionKind.NONE
+            assert rep.exception is ExceptionKind.NONE
             assert not rep.table_agrees
 
     def test_rejects_n1(self):
@@ -594,17 +605,17 @@ class TestAnalyze:
         t = Triple(13, 4, 31)
         tiny = Effort(trial_division_bound=1_000, rho_step_budget=100)
         rep = analyze(t, tiny)
-        assert not rep.factorization_complete
+        assert not rep.phi_factors.complete
         assert rep.phi_factors.cofactor > 1
         assert rep.fast.has_large
         assert rep.has_large  # taken from the fast decision
-        assert rep.phi_value == eval_homogeneous(31, 13, 4)
+        assert rep.fast.phi_value == eval_homogeneous(31, 13, 4)
 
     def test_incomplete_multiplier_verdict(self):
         # Phi_5(4, 3) = 781 = 11 * 71 is left whole, yet no prime beyond
         # 14 * 5 + 1 divides it
         rep = analyze(Triple(4, 3, 5), Effort(7, 0), multiplier=14)
-        assert not rep.factorization_complete
+        assert not rep.phi_factors.complete
         assert rep.phi_factors.cofactor == 781
         assert not rep.has_large
         assert rep.fast.has_large
@@ -623,6 +634,7 @@ class TestAnalyze:
         assert rep.large_zsig_primes == ()
         assert not rep.has_large
         assert rep.fast.has_large  # plain-threshold decision unchanged
+        assert rep.table_agrees  # the table speaks of M = 1 only
 
     def test_evaluates_phi_once(self, monkeypatch):
         calls = []
