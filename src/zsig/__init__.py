@@ -6,7 +6,6 @@ from .arith import (
     divisors,
     euler_phi,
     factorize,
-    gcd,
     is_prime,
     largest_prime_divisor,
     mobius,
@@ -14,7 +13,6 @@ from .arith import (
     vp,
 )
 from .cyclotomic import (
-    IntPoly,
     Triple,
     bounds_check,
     cyclotomic_coeffs,
@@ -45,13 +43,11 @@ __all__ = [
     "divisors",
     "euler_phi",
     "factorize",
-    "gcd",
     "is_prime",
     "largest_prime_divisor",
     "mobius",
     "totient_sieve",
     "vp",
-    "IntPoly",
     "Triple",
     "bounds_check",
     "cyclotomic_coeffs",

@@ -38,13 +38,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
         return lo, lo**k == x
 
 
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor of two nonnegative integers; gcd(0,0) is 0."""
-    if x < 0 or y < 0:
-        raise ValueError("gcd expects nonnegative integers")
-    return math.gcd(x, y)
-
-
 # Bases for which Miller-Rabin is a proven deterministic primality test
 # below the limit (Sorenson & Webster, first 13 primes).
 _MR_BASES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -16,12 +16,14 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 import time
 from typing import NamedTuple
 
-from .arith import Effort, _Validated, gcd
+from .arith import Effort
 from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
+from .zsigmondy import ANALYZE_RHO_BUDGET, ANALYZE_TRIAL_BOUND
 from .zsigmondy import ExceptionKind, ZsigReport, analyze
 from .zsigmondy import _classify_prime_divisor, _table_agrees
 
@@ -36,38 +38,6 @@ EXIT_BAD_INPUT = 3
 # while keeping the full scan within a few minutes on one core.
 SCAN_TRIAL_BOUND = 2_000
 SCAN_RHO_BUDGET = 3_000_000
-
-# Single-triple analysis can afford far more patience than a range scan.
-ANALYZE_TRIAL_BOUND = 1_000_000
-ANALYZE_RHO_BUDGET = 40_000_000
-
-
-class ScanConfig(
-    _Validated,
-    NamedTuple(
-        "_ScanConfigFields",
-        [
-            ("a_max", int),
-            ("n_max", int),
-            ("effort", Effort),
-            ("parallelism", int),
-        ],
-    )
-):
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        a_max: int,
-        n_max: int,
-        effort: Effort = Effort(SCAN_TRIAL_BOUND, SCAN_RHO_BUDGET),
-        parallelism: int = 1,
-    ) -> ScanConfig:
-        if a_max < 2 or n_max < 2:
-            raise ValueError("a_max and n_max must be at least 2")
-        if parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        return tuple.__new__(cls, (a_max, n_max, effort, parallelism))
 
 
 class ScanRow(NamedTuple):
@@ -108,11 +78,16 @@ def coprime_pairs(a_max: int) -> list[tuple[int, int]]:
         (a, b)
         for a in range(2, a_max + 1)
         for b in range(1, a)
-        if gcd(a, b) == 1
+        if math.gcd(a, b) == 1
     ]
 
 
-def run_scan(config: ScanConfig) -> tuple[dict, list[ScanRow]]:
+def run_scan(
+    a_max: int,
+    n_max: int,
+    effort: Effort = Effort(SCAN_TRIAL_BOUND, SCAN_RHO_BUDGET),
+    parallelism: int = 1,
+) -> tuple[dict, list[ScanRow]]:
     """Execute a scan; returns (report object, per-triple rows).
 
     The report object follows the documented schema: config, summary,
@@ -124,11 +99,11 @@ def run_scan(config: ScanConfig) -> tuple[dict, list[ScanRow]]:
     25 pairs a progress line goes to stderr.
     """
     started = time.monotonic()
-    pairs = coprime_pairs(config.a_max)
-    jobs = [(a, b, config.n_max, config.effort) for (a, b) in reversed(pairs)]
+    pairs = coprime_pairs(a_max)
+    jobs = [(a, b, n_max, effort) for (a, b) in reversed(pairs)]
     chunks: list[list[ScanRow]] = []
     # a fork pool starts every worker at once, so it gets no more than there are jobs
-    workers = min(config.parallelism, len(jobs))
+    workers = min(parallelism, len(jobs))
     with contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1:
@@ -162,13 +137,11 @@ def run_scan(config: ScanConfig) -> tuple[dict, list[ScanRow]]:
             incomplete.append(key)
     report = {
         "config": {
-            "a_max": config.a_max,
-            "n_max": config.n_max,
-            "trial_division_bound": config.effort.trial_division_bound,
-            "rho_step_budget": config.effort.rho_step_budget,
-            "parallelism": config.parallelism,
-            # the report is printed only as JSON
-            "output_format": "json",
+            "a_max": a_max,
+            "n_max": n_max,
+            "trial_division_bound": effort.trial_division_bound,
+            "rho_step_budget": effort.rho_step_budget,
+            "parallelism": parallelism,
         },
         "summary": {
             "triples_scanned": len(rows),
@@ -249,24 +222,25 @@ def _render_scan_text(report: dict) -> str:
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     try:
-        poly = cyclotomic_coeffs(args.n)
+        coeffs = cyclotomic_coeffs(args.n)
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    degree = len(coeffs) - 1
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "n": args.n,
-                    "coeffs": list(poly.coeffs),
-                    "degree": poly.degree,
-                    "euler_phi": poly.degree,
+                    "coeffs": list(coeffs),
+                    "degree": degree,
+                    "euler_phi": degree,
                 }
             )
         )
     else:
-        print(" ".join(str(c) for c in poly.coeffs))
-        print(f"# degree {poly.degree}  phi {poly.degree}")
+        print(" ".join(str(c) for c in coeffs))
+        print(f"# degree {degree}  phi {degree}")
     return EXIT_OK
 
 
@@ -294,8 +268,6 @@ def _analyze_payload(rep: ZsigReport) -> dict:
         "is_exception": exc.is_exception,
         "has_zsigmondy": fast.residual > 1,
         "has_large": rep.has_large,
-        "fast_has_large": fast.has_large,
-        "residual": fast.residual,
         "complete": fac.complete,
         "table_agrees": rep.table_agrees,
         "factors": [[p, e] for p, e in fac.factors],
@@ -370,16 +342,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     try:
-        config = ScanConfig(
-            a_max=args.a_max,
-            n_max=args.n_max,
-            effort=Effort(args.trial_bound, args.rho_budget),
-            parallelism=args.jobs,
-        )
+        effort = Effort(args.trial_bound, args.rho_budget)
+        if args.a_max < 2 or args.n_max < 2:
+            raise ValueError("a_max and n_max must be at least 2")
+        if args.jobs < 1:
+            raise ValueError("parallelism must be at least 1")
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report, rows = run_scan(config)
+    report, rows = run_scan(args.a_max, args.n_max, effort, args.jobs)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     elif args.format == "csv":
@@ -443,7 +414,3 @@ def main(argv: list[str] | None = None) -> int:
         # plain function
         return int(exc.code or 0)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

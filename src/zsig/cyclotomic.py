@@ -62,23 +62,6 @@ class Triple(
         return tuple.__new__(cls, (a, b, n))
 
 
-class IntPoly(_Validated, NamedTuple("_IntPolyFields", [("coeffs", tuple[int, ...])])):
-    """Dense integer polynomial; coeffs[k] multiplies x**k, leading last."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs: tuple[int, ...]) -> IntPoly:
-        if not coeffs:
-            raise ValueError("empty coefficient vector")
-        if len(coeffs) > 1 and coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        return tuple.__new__(cls, (coeffs,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 def _mul_binomial(poly: list[int], k: int, c: int) -> list[int]:
     # poly * (x**k + c)
     out = [0] * (len(poly) + k)
@@ -102,9 +85,10 @@ def _div_binomial(poly: list[int], k: int, c: int) -> list[int]:
     return q
 
 
-def cyclotomic_coeffs(n: int) -> IntPoly:
-    """Exact coefficient vector of the n-th cyclotomic polynomial, the
-    divisor product over n's record.  Every exponent is a multiple of
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Exact coefficients of the n-th cyclotomic polynomial as a tuple,
+    that of x**k at index k, so its degree phi(n) is the length less one:
+    the divisor product over n's record.  Every exponent is a multiple of
     their gcd s, so the product is taken in y = x**s and then spread out
     by s, which keeps large non-squarefree n cheap.  All arithmetic is
     exact; every binomial division checks its remainder.
@@ -121,7 +105,7 @@ def cyclotomic_coeffs(n: int) -> IntPoly:
         work = _div_binomial(work, e // s, c)
     out = [0] * ((len(work) - 1) * s + 1)
     out[::s] = work
-    return IntPoly(tuple(out))
+    return tuple(out)
 
 
 def eval_homogeneous(n: int, a: int, b: int) -> int:

@@ -271,8 +271,16 @@ def classify_exception(t: Triple) -> ExceptionKind:
     return _KIND_NONE
 
 
+# Single-triple analysis can afford far more patience than a range scan,
+# yet its budget stays finite, so that analyze always returns.
+ANALYZE_TRIAL_BOUND = 1_000_000
+ANALYZE_RHO_BUDGET = 40_000_000
+
+
 def analyze(
-    t: Triple, effort: Effort | None = None, multiplier: int = 1
+    t: Triple,
+    effort: Effort = Effort(ANALYZE_TRIAL_BOUND, ANALYZE_RHO_BUDGET),
+    multiplier: int = 1,
 ) -> ZsigReport:
     """Full per-triple report: decide first, then factor to list primes.
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from zsig.arith import totient_sieve
-from zsig.cli import ScanConfig, _scan_exit_code, main, run_scan
+from zsig.cli import _scan_exit_code, main, run_scan
 from zsig.cyclotomic import (
     Triple,
     bounds_check,
@@ -53,9 +53,7 @@ def _odd_part(x):
 @pytest.fixture(scope="module")
 def reference_scan():
     """The criterion-1 scan, shared by every criterion that reads rows."""
-    config = ScanConfig(a_max=A_MAX, n_max=N_MAX)
-    report, rows = run_scan(config)
-    return report, rows
+    return run_scan(A_MAX, N_MAX)
 
 
 def _expected_exception_set():

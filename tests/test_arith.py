@@ -15,14 +15,14 @@ from zsig.arith import (
     divisors,
     euler_phi,
     factorize,
-    gcd,
     is_prime,
     largest_prime_divisor,
     mobius,
     totient_sieve,
     vp,
 )
-from zsig.cli import ANALYZE_RHO_BUDGET, ANALYZE_TRIAL_BOUND, main
+from zsig.cli import main
+from zsig.zsigmondy import ANALYZE_RHO_BUDGET, ANALYZE_TRIAL_BOUND
 from oracles import (
     EXACT_BELOW,
     brent_rho_reference,
@@ -30,27 +30,6 @@ from oracles import (
     is_prime_oracle,
     vp_oracle,
 )
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(12, 18) == 6
-        assert gcd(7, 0) == 7
-        assert gcd(0, 0) == 0
-        assert gcd(1, 999999999) == 1
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gcd(-4, 6)
-
-    @given(st.integers(0, 10**12), st.integers(0, 10**12))
-    def test_divides_both(self, a, b):
-        g = gcd(a, b)
-        if g == 0:
-            assert a == 0 and b == 0
-        else:
-            assert a % g == 0 and b % g == 0
-        assert g == gcd(b, a)
 
 
 class TestVp:
@@ -147,7 +126,7 @@ class TestEulerPhi:
     @given(st.integers(2, 10**6), st.integers(2, 10**6))
     @settings(deadline=None)
     def test_multiplicative(self, m, n):
-        if gcd(m, n) == 1:
+        if math.gcd(m, n) == 1:
             assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
 
 

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from zsig import arith, cli, zsigmondy
-from zsig.cli import ScanConfig, main, run_scan
+from zsig.cli import build_parser, main, run_scan
 from zsig.cyclotomic import Triple
 from zsig.zsigmondy import ExceptionKind, analyze, classify_prime_divisor
 
@@ -33,7 +34,7 @@ class TestCoeffs:
     def test_text_order_twelve(self, capsys):
         code, out, _ = run(capsys, "coeffs", "12")
         assert code == 0
-        assert out.splitlines()[0] == "1 0 -1 0 1"
+        assert out.splitlines() == ["1 0 -1 0 1", "# degree 4  phi 4"]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "coeffs", "105", "--format", "json")
@@ -146,7 +147,7 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "4", "3", "2", "--M", "3", "--format", "json")
         assert code == 1
         payload = json.loads(out)
-        assert (payload["has_large"], payload["fast_has_large"]) == (False, True)
+        assert (payload["has_large"], payload["fast"]["has_large"]) == (False, True)
         assert payload["table_agrees"] is True
 
     def test_mismatch_line_rendered_at_any_multiplier(self, capsys):
@@ -164,7 +165,7 @@ class TestAnalyze:
         # report's Factorization validated its primes; (30,1,29) also
         # lists 29 = P(29), whose case goes through the valuation
         t = Triple(30, 1, 29)
-        rep = analyze(t, arith.Effort(cli.ANALYZE_TRIAL_BOUND, cli.ANALYZE_RHO_BUDGET))
+        rep = analyze(t)
         expected = []
         for p, _ in rep.phi_factors.factors:
             c = classify_prime_divisor(p, t)
@@ -200,8 +201,8 @@ class TestAnalyze:
         assert list(payload) == [
             "a", "b", "n", "phi_value", "zsig", "large", "exception_kind",
             "witness", "is_exception", "has_zsigmondy", "has_large",
-            "fast_has_large", "residual", "complete", "table_agrees",
-            "factors", "cofactor", "fast", "large_multiplier",
+            "complete", "table_agrees", "factors", "cofactor", "fast",
+            "large_multiplier",
         ]
         assert payload["phi_value"] == 7
         assert payload["zsig"] == [[7, 1]]
@@ -226,6 +227,12 @@ class TestAnalyze:
         assert code == 3
         assert out == ""
         assert err == f"invalid input: {message}\n"
+
+    def test_library_default_effort_is_the_cli_default(self):
+        # analyze called without an effort gives up where zsig analyze does
+        args = build_parser().parse_args(["analyze", "4", "3", "2"])
+        default = inspect.signature(analyze).parameters["effort"].default
+        assert default == arith.Effort(args.trial_bound, args.rho_budget)
 
     def test_nonpositive_multiplier_exit_three(self, capsys):
         code, out, err = run(capsys, "analyze", "4", "3", "2", "--M", "0")
@@ -363,7 +370,7 @@ class TestScan:
             return real(job)
 
         monkeypatch.setattr(cli, "_scan_pair", recorded)
-        _, rows = run_scan(ScanConfig(9, 7))
+        _, rows = run_scan(9, 7)
         pairs = cli.coprime_pairs(9)
         assert handed == pairs[::-1]
         assert handed[:3] == [(9, 8), (9, 7), (9, 5)]
@@ -376,7 +383,7 @@ class TestScan:
         # on this range) and 15-key dict rows (about 820)
         tracemalloc.start()
         try:
-            _, rows = run_scan(ScanConfig(12, 12))
+            _, rows = run_scan(12, 12)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
             count = len(rows)
@@ -391,7 +398,7 @@ class TestScan:
     def test_rows_share_the_exception_case(self):
         # a row holds the table's ExceptionKind member, the one object
         # every row of that kind shares, and no witness of its own
-        _, rows = run_scan(ScanConfig(12, 12))
+        _, rows = run_scan(12, 12)
         plain = [r for r in rows if not r.exception.is_exception]
         assert len(plain) == 478
         assert all(r.exception is ExceptionKind.NONE for r in plain)
@@ -478,7 +485,9 @@ class TestScan:
         monkeypatch.setenv("ZSIG_FORMAT", "csv")
         code, out, err = run(capsys, "scan", "--a-max", "3", "--n-max", "4")
         assert code == 0
-        assert json.loads(out)["config"]["output_format"] == "json"
+        assert list(json.loads(out)["config"]) == [
+            "a_max", "n_max", "trial_division_bound", "rho_step_budget", "parallelism",
+        ]
         assert err == ""
         code, out, err = run(capsys, "analyze", "4", "3", "2")
         assert code == 0
@@ -496,8 +505,11 @@ class TestScan:
         assert run(capsys, "analyze", "4", "3", "5", *argv)[0] == 2
 
     def test_rejects_tiny_range(self, capsys):
-        code, _, _ = run(capsys, "scan", "--a-max", "1", "--n-max", "5")
-        assert code == 3
+        for argv in (["--a-max", "1", "--n-max", "5"], ["--a-max", "5", "--n-max", "1"]):
+            code, out, err = run(capsys, "scan", *argv)
+            assert code == 3
+            assert out == ""
+            assert err == "invalid input: a_max and n_max must be at least 2\n"
 
     @pytest.mark.parametrize(
         "flag,value,message",

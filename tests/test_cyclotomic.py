@@ -7,7 +7,6 @@ import pytest
 from zsig import arith, aurifeuillian, cli, cyclotomic
 from zsig.arith import INDEX_RECORD_LIMIT, divisors, euler_phi, totient_sieve
 from zsig.cyclotomic import (
-    IntPoly,
     Triple,
     bounds_check,
     cyclotomic_coeffs,
@@ -37,41 +36,41 @@ def _polymul(f, g):
 
 class TestCoefficients:
     def test_examples(self):
-        assert cyclotomic_coeffs(1).coeffs == (-1, 1)
-        assert cyclotomic_coeffs(6).coeffs == (1, -1, 1)
-        assert cyclotomic_coeffs(12).coeffs == (1, 0, -1, 0, 1)
+        assert cyclotomic_coeffs(1) == (-1, 1)
+        assert cyclotomic_coeffs(6) == (1, -1, 1)
+        assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
 
     def test_first_nontrivial_coefficient(self):
         # n = 105 is the smallest index with a coefficient outside {-1,0,1}.
         poly = cyclotomic_coeffs(105)
-        assert poly.degree == 48
-        assert poly.coeffs[7] == -2
+        assert len(poly) - 1 == 48
+        assert poly[7] == -2
         for n in range(1, 105):
-            assert all(abs(x) <= 1 for x in cyclotomic_coeffs(n).coeffs)
+            assert all(abs(x) <= 1 for x in cyclotomic_coeffs(n))
 
     def test_matches_naive_construction(self):
         for n in range(1, 151):
-            assert cyclotomic_coeffs(n).coeffs == naive_cyclotomic(n)
+            assert cyclotomic_coeffs(n) == naive_cyclotomic(n)
         for n in (210, 255, 256, 385, 420):
-            assert cyclotomic_coeffs(n).coeffs == naive_cyclotomic(n)
+            assert cyclotomic_coeffs(n) == naive_cyclotomic(n)
 
     def test_degree_and_monic(self):
         sieve = totient_sieve(2000)
         for n in range(1, 2001):
             poly = cyclotomic_coeffs(n)
-            assert poly.degree == sieve[n]
-            assert poly.coeffs[-1] == 1
+            assert len(poly) - 1 == sieve[n]
+            assert poly[-1] == 1
 
     def test_beyond_cache_limit(self):
         poly = cyclotomic_coeffs(4372)  # 2^2 * 1093, above the record limit
-        assert poly.degree == euler_phi(4372)
-        assert poly.coeffs[-1] == 1
+        assert len(poly) - 1 == euler_phi(4372)
+        assert poly[-1] == 1
         # above the limit the product is built in y = x**s and spread out;
         # the index-n vector is the rad(n) vector in x**(n / rad(n))
         for n, rad in ((4100, 410), (8190, 2730), (2310**2, 2310)):
             assert n > INDEX_RECORD_LIMIT
-            lifted = _inflate(list(cyclotomic_coeffs(rad).coeffs), n // rad)
-            assert list(cyclotomic_coeffs(n).coeffs) == lifted
+            lifted = _inflate(list(cyclotomic_coeffs(rad)), n // rad)
+            assert list(cyclotomic_coeffs(n)) == lifted
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -85,13 +84,13 @@ class TestCoefficients:
         # product of the index-pn and index-n vectors.
         for p in (2, 3, 5, 7, 11, 13):
             for n in range(1, 61):
-                lifted = _inflate(list(cyclotomic_coeffs(n).coeffs), p)
+                lifted = _inflate(list(cyclotomic_coeffs(n)), p)
                 if n % p == 0:
-                    assert list(cyclotomic_coeffs(p * n).coeffs) == lifted
+                    assert list(cyclotomic_coeffs(p * n)) == lifted
                 else:
                     prod = _polymul(
-                        list(cyclotomic_coeffs(p * n).coeffs),
-                        list(cyclotomic_coeffs(n).coeffs),
+                        list(cyclotomic_coeffs(p * n)),
+                        list(cyclotomic_coeffs(n)),
                     )
                     assert prod == lifted
 
@@ -233,7 +232,7 @@ class TestDivisorProduct:
                 if _gcd(a, b) != 1:
                     continue
                 for n in range(1, 61):
-                    expected = _horner_homogeneous(cyclotomic_coeffs(n).coeffs, a, b)
+                    expected = _horner_homogeneous(cyclotomic_coeffs(n), a, b)
                     assert eval_homogeneous(n, a, b) == expected
 
     def test_non_squarefree_and_uncached_indices(self):
@@ -307,7 +306,7 @@ class TestEvenIndexForm:
 
     def test_even_coefficients_match_naive(self):
         for n in range(2, 301, 2):
-            assert cyclotomic_coeffs(n).coeffs == naive_cyclotomic(n)
+            assert cyclotomic_coeffs(n) == naive_cyclotomic(n)
 
 
 class TestValidation:
@@ -475,14 +474,3 @@ class TestBounds:
         d = euler_phi(n)
         assert (a - b) ** d < v < (a + b) ** d
 
-
-class TestIntPoly:
-    def test_call(self):
-        p = IntPoly((1, 0, -1, 0, 1))
-        assert p.degree == 4
-
-    def test_rejects_empty_and_trailing_zero(self):
-        with pytest.raises(ValueError):
-            IntPoly(())
-        with pytest.raises(ValueError):
-            IntPoly((1, 2, 0))

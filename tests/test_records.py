@@ -2,6 +2,7 @@
 its fields, no record can be changed, and the reprs read as before."""
 
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from zsig.arith import Effort, Factorization, _Validated, factorize
-from zsig.cli import ScanConfig, ScanRow, _scan_pair
-from zsig.cyclotomic import IntPoly, Triple, cyclotomic_coeffs
+from zsig.cli import ScanRow, _scan_pair, run_scan
+from zsig.cyclotomic import Triple
 from zsig.zsigmondy import (
     DivisorCase,
     ExceptionKind,
@@ -28,13 +29,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 VALIDATED = [
     (Effort, (2000, 3_000_000), (-1, None)),
     (Factorization, (12, ((2, 2), (3, 1)), 1), (10, ((2, 1), (3, 1)), 1)),
-    (IntPoly, ((1, 0, 1),), ((1, 0),)),
     (
         PrimeDivisorClass,
         (DivisorCase.ZSIGMONDY, 7, 3, 0),
         (DivisorCase.TWO_POWER, 3, 1, 1),
     ),
-    (ScanConfig, (30, 36, Effort(), 2), (30, 36, Effort(), 0)),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALIDATED]
 
@@ -108,13 +107,8 @@ def test_reprs_unchanged():
     assert repr(factorize(12)) == (
         "Factorization(value=12, factors=((2, 2), (3, 1)), cofactor=1)"
     )
-    assert repr(cyclotomic_coeffs(12)) == "IntPoly(coeffs=(1, 0, -1, 0, 1))"
     assert repr(PrimeDivisorClass(DivisorCase.ZSIGMONDY, 7, 3, 0)) == (
         "PrimeDivisorClass(case=<DivisorCase.ZSIGMONDY: 'zsigmondy'>, p=7, k=3, beta=0)"
-    )
-    assert repr(ScanConfig(3, 4)) == (
-        "ScanConfig(a_max=3, n_max=4, effort=Effort(trial_division_bound=2000, "
-        "rho_step_budget=3000000), parallelism=1)"
     )
     assert repr(classify_exception(Triple(5, 3, 2))) == (
         "<ExceptionKind.SUM_POWER_OF_TWO: 'sum_power_of_two'>"
@@ -142,9 +136,9 @@ def test_scan_row_repr_and_pickle():
 
 
 def test_defaults_unchanged():
-    config = ScanConfig(3, 4)
-    assert config.effort == Effort(2000, 3_000_000)
-    assert config.parallelism == 1
+    scan = inspect.signature(run_scan).parameters
+    assert scan["effort"].default == Effort(2000, 3_000_000)
+    assert scan["parallelism"].default == 1
     assert Factorization(7, ((7, 1),)).cofactor == 1
     kind = classify_exception(Triple(7, 2, 2))
     assert kind is ExceptionKind.NONE
