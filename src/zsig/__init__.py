@@ -9,18 +9,9 @@ from .arith import (
     is_prime,
     largest_prime_divisor,
     mobius,
-    totient_sieve,
     vp,
 )
-from .cyclotomic import (
-    Triple,
-    bounds_check,
-    cyclotomic_coeffs,
-    eval_homogeneous,
-    eval_mobius,
-    eval_recursive,
-    product_identity_check,
-)
+from .cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
 from .valuation import multiplicative_order, vp_cyclotomic
 from .zsigmondy import (
     DivisorCase,
@@ -46,15 +37,10 @@ __all__ = [
     "is_prime",
     "largest_prime_divisor",
     "mobius",
-    "totient_sieve",
     "vp",
     "Triple",
-    "bounds_check",
     "cyclotomic_coeffs",
     "eval_homogeneous",
-    "eval_mobius",
-    "eval_recursive",
-    "product_identity_check",
     "multiplicative_order",
     "vp_cyclotomic",
     "DivisorCase",

@@ -435,18 +435,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def totient_sieve(limit: int) -> list[int]:
-    """phi(0..limit) as a list; phi[0] is 0 by convention."""
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    phi = list(range(limit + 1))
-    for i in range(2, limit + 1):
-        if phi[i] == i:  # i is prime
-            for m in range(i, limit + 1, i):
-                phi[m] -= phi[m] // i
-    return phi
-
-
 def mobius(n: int) -> int:
     """Moebius function: 0 on squareful n, else parity of the prime count."""
     if n < 1:

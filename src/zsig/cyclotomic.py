@@ -2,29 +2,19 @@
 two-variable homogeneous values.
 
 The homogeneous value of index n at (a, b) is b**phi(n) times the
-one-variable polynomial evaluated at a/b, always an integer.  Three
-independent evaluators are provided so they can check each other, each
-through its own identity:
-
-- eval_homogeneous: the divisor product
-  Phi_n(a, b) = prod over d | rad(n) of (a**(n/d) - b**(n/d))**mu(d) at
-  odd n, and over d | rad(m) of (a**(n/2d) + b**(n/2d))**mu(d), half the
-  terms, at even n = 2**k * m, m odd, since Phi_2m(x) = Phi_m(-x) for odd
-  m > 1 and Phi_2(x) = x + 1; the exponents e are split by the sign of
-  mu(d) into plus and minus, and read from arith's per-index record, so
-  Phi_n = prod over plus of (x**e + c) / prod over minus of (x**e + c),
-  with c = -1 at odd n and c = +1 at even n, in x or at x = a/b;
-  callers that have validated once use the unchecked _eval_homogeneous;
-  cyclotomic_coeffs takes the same product over the same record in x;
-- eval_mobius: the same product taken from the definition, walking every
-  divisor of n and its Moebius value on each call, with no cache;
-- eval_recursive: index reduction, Phi_{n}(a, b) = Phi_{rad n}(a**s, b**s)
-  with s = n / rad(n), and Phi_{mp}(a, b) = Phi_m(a**p, b**p) / Phi_m(a, b)
-  for a prime p not dividing m.
-
-Horner evaluation of the coefficient vector, in the tests, is not
-independent of eval_homogeneous, since both read one record through one
-identity.
+one-variable polynomial evaluated at a/b, always an integer.
+eval_homogeneous takes it as the divisor product
+Phi_n(a, b) = prod over d | rad(n) of (a**(n/d) - b**(n/d))**mu(d) at odd
+n, and over d | rad(m) of (a**(n/2d) + b**(n/2d))**mu(d), half the terms,
+at even n = 2**k * m, m odd, since Phi_2m(x) = Phi_m(-x) for odd m > 1
+and Phi_2(x) = x + 1.  The exponents e are split by the sign of mu(d)
+into plus and minus, and read from arith's per-index record, so
+Phi_n = prod over plus of (x**e + c) / prod over minus of (x**e + c),
+with c = -1 at odd n and c = +1 at even n, in x or at x = a/b; callers
+that have validated once use the unchecked _eval_homogeneous, and
+cyclotomic_coeffs takes the same product over the same record in x.  The
+references it is checked against share none of its arithmetic and live
+in tests/oracles.py.
 
 For factoring, _power_pieces splits a value at a perfect-power pair and
 _aurifeuillian_pieces splits one into its Aurifeuillian factors L * M:
@@ -37,8 +27,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import _index_records, _iroot, _primes_up_to, _Validated
-from .arith import divisors, euler_phi, mobius, vp
+from .arith import _index_records, _iroot, _primes_up_to, _Validated, vp
 
 
 class Triple(
@@ -46,7 +35,7 @@ class Triple(
 ):
     """A validated input (a, b, n): coprime, ordered, positive.  A tuple
     record; the constructor, _make, _replace, copy and unpickling all
-    validate, and the public evaluators validate by constructing one."""
+    validate, and eval_homogeneous validates by constructing one."""
 
     __slots__ = ()
 
@@ -176,68 +165,3 @@ def _aurifeuillian_pieces(n: int, a: int, b: int, value: int) -> list[int]:
     low, high = factors(k, base, n // base, a, b, w, value)
     return [v for v in (low, high) if v != 1]
 
-
-def eval_mobius(n: int, a: int, b: int) -> int:
-    """Same value via the divisor product of (a**d - b**d) terms raised to
-    the Moebius sign, kept as one numerator and one denominator with a
-    single exact division at the end."""
-    Triple(a, b, n)
-    num = 1
-    den = 1
-    for d in divisors(n):
-        mu = mobius(d)
-        if mu == 0:
-            continue
-        e = n // d
-        term = a**e - b**e
-        if mu == 1:
-            num *= term
-        else:
-            den *= term
-    q, r = divmod(num, den)
-    if r != 0:
-        raise ArithmeticError("divisor product did not divide exactly")
-    return q
-
-
-def eval_recursive(n: int, a: int, b: int) -> int:
-    """Same value by index reduction: replace (a, b) by prime-power powers
-    until the index is squarefree, then split off one prime at a time via
-    the quotient of values at (a**p, b**p) and (a, b)."""
-    Triple(a, b, n)
-    return _eval_reduced(n, a, b)
-
-
-def _eval_reduced(n: int, a: int, b: int) -> int:
-    if n == 1:
-        return a - b
-    factors = _index_records[n][4]
-    rad = math.prod(p for p, _ in factors)
-    if rad != n:
-        stretch = n // rad
-        return _eval_reduced(rad, a**stretch, b**stretch)
-    p = factors[-1][0]
-    m = n // p
-    q, r = divmod(_eval_reduced(m, a**p, b**p), _eval_reduced(m, a, b))
-    if r != 0:
-        raise ArithmeticError("index reduction quotient was not exact")
-    return q
-
-
-def product_identity_check(n: int, a: int, b: int) -> bool:
-    """True iff the divisor-indexed values multiply to a**n - b**n."""
-    Triple(a, b, n)
-    prod = 1
-    for d in divisors(n):
-        prod *= _eval_homogeneous(d, a, b)
-    return prod == a**n - b**n
-
-
-def bounds_check(n: int, a: int, b: int) -> bool:
-    """Strict two-sided bound: (a-b)**phi < value < (a+b)**phi, n >= 3."""
-    Triple(a, b, n)
-    if n < 3:
-        raise ValueError("the strict bounds need n >= 3")
-    value = _eval_homogeneous(n, a, b)
-    deg = euler_phi(n)
-    return (a - b) ** deg < value < (a + b) ** deg

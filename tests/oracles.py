@@ -1,7 +1,8 @@
 """Independent reference computations for the test suite.
 
 Everything here is written from definitions, on purpose: polynomial long
-division over the integers, direct order search, and factor-the-difference
+division over the integers, the Moebius product over n's primes as found
+here, a totient sieve, direct order search, and factor-the-difference
 brute force.  Slow and obviously correct is the point; none of it shares
 code with the package under test.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import prod
 
 _SMALL = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
@@ -151,6 +153,29 @@ def hom_value(n: int, a: int, b: int) -> int:
     coeffs = naive_cyclotomic(n)
     deg = len(coeffs) - 1
     return sum(c * a**i * b ** (deg - i) for i, c in enumerate(coeffs))
+
+
+def mobius_value(n: int, a: int, b: int) -> int:
+    """Phi_n(a, b) as the product of (a^(n/d) - b^(n/d))^mu(d) over the
+    squarefree d | n, built from n's primes by factor_oracle."""
+    signed = [(1, 1)]
+    for p in factor_oracle(n):
+        signed += [(d * p, -mu) for d, mu in signed]
+    num = prod(a ** (n // d) - b ** (n // d) for d, mu in signed if mu > 0)
+    den = prod(a ** (n // d) - b ** (n // d) for d, mu in signed if mu < 0)
+    assert num % den == 0, "the Moebius product left a remainder"
+    return num // den
+
+
+def totients(limit: int) -> list[int]:
+    """phi(0..limit) by phi(n) = n * prod over primes p | n of (1 - 1/p),
+    sieving each prime through its multiples; phi(0) is 0."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
 
 
 def order_brute(p: int, a: int, b: int) -> int:

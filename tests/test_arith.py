@@ -18,7 +18,6 @@ from zsig.arith import (
     is_prime,
     largest_prime_divisor,
     mobius,
-    totient_sieve,
     vp,
 )
 from zsig.cli import main
@@ -28,6 +27,7 @@ from oracles import (
     brent_rho_reference,
     factor_oracle,
     is_prime_oracle,
+    totients,
     vp_oracle,
 )
 
@@ -114,12 +114,12 @@ class TestEulerPhi:
         assert euler_phi(2**10) == 512
 
     def test_matches_sieve(self):
-        sieve = totient_sieve(5000)
+        sieve = totients(5000)
         for n in range(1, 5001):
             assert euler_phi(n) == sieve[n]
 
     def test_divisor_sum_identity(self):
-        sieve = totient_sieve(10**4)
+        sieve = totients(10**4)
         for n in range(1, 10**4 + 1):
             assert sum(sieve[d] for d in divisors(n)) == n
 

@@ -1,21 +1,17 @@
+import ast
 import copy
 import pickle
 from math import gcd as _gcd, prod
+from pathlib import Path
 
 import pytest
 
 from zsig import arith, aurifeuillian, cli, cyclotomic
-from zsig.arith import INDEX_RECORD_LIMIT, divisors, euler_phi, totient_sieve
-from zsig.cyclotomic import (
-    Triple,
-    bounds_check,
-    cyclotomic_coeffs,
-    eval_homogeneous,
-    eval_mobius,
-    eval_recursive,
-    product_identity_check,
+from zsig.arith import INDEX_RECORD_LIMIT, euler_phi
+from zsig.cyclotomic import Triple, cyclotomic_coeffs, eval_homogeneous
+from oracles import (
+    factor_oracle, hom_value, mobius_value, naive_cyclotomic, perfect_power_pairs, totients,
 )
-from oracles import factor_oracle, hom_value, naive_cyclotomic, perfect_power_pairs
 
 
 def _inflate(coeffs, p):
@@ -55,7 +51,7 @@ class TestCoefficients:
             assert cyclotomic_coeffs(n) == naive_cyclotomic(n)
 
     def test_degree_and_monic(self):
-        sieve = totient_sieve(2000)
+        sieve = totients(2000)
         for n in range(1, 2001):
             poly = cyclotomic_coeffs(n)
             assert len(poly) - 1 == sieve[n]
@@ -125,9 +121,7 @@ class TestTriple:
         # each input breaks its own rule and every later one, so the
         # message says which rule is checked first
         a, b, n = bad
-        for make in (lambda: Triple(a, b, n), lambda: eval_homogeneous(n, a, b),
-                     lambda: eval_mobius(n, a, b), lambda: eval_recursive(n, a, b),
-                     lambda: product_identity_check(n, a, b), lambda: bounds_check(n, a, b)):
+        for make in (lambda: Triple(a, b, n), lambda: eval_homogeneous(n, a, b)):
             with pytest.raises(ValueError) as err:
                 make()
             assert str(err.value) == message
@@ -202,17 +196,29 @@ class TestEvaluation:
                 if _gcd(a, b) != 1:
                     continue
                 for n in range(1, 41):
-                    v = eval_homogeneous(n, a, b)
-                    assert eval_mobius(n, a, b) == v
-                    assert eval_recursive(n, a, b) == v
+                    assert eval_homogeneous(n, a, b) == mobius_value(n, a, b)
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             eval_homogeneous(5, 6, 3)
-        with pytest.raises(ValueError):
-            eval_mobius(5, 3, 3)
-        with pytest.raises(ValueError):
-            eval_recursive(5, 4, 2)
+
+    def test_oracles_reject_a_planted_record(self, monkeypatch):
+        # n = 15 recorded as if prime: eval_homogeneous follows the record,
+        # and the oracles, which read none of it, give the true value
+        planted = arith._IndexRecords({15: (True, (15,), (1,), 15, ((15, 1),))})
+        monkeypatch.setattr(arith, "_index_records", planted)
+        monkeypatch.setattr(cyclotomic, "_index_records", planted)
+        assert eval_homogeneous(15, 3, 2) == 14_316_139
+        assert hom_value(15, 3, 2) == mobius_value(15, 3, 2) == 3_571
+
+    def test_oracles_import_nothing_from_zsig(self):
+        tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+        names = [
+            alias.name if isinstance(node, ast.Import) else node.module or ""
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert "random" in names and not [n for n in names if n.split(".")[0] == "zsig"]
 
 
 def _horner_homogeneous(coeffs, a, b):
@@ -248,7 +254,7 @@ class TestDivisorProduct:
         # that record, imported from arith
         above = {4100, 4101, 4102, 8190}
         for n in above:
-            assert eval_homogeneous(n, 3, 2) == eval_mobius(n, 3, 2)
+            assert eval_homogeneous(n, 3, 2) == mobius_value(n, 3, 2)
         cyclotomic_coeffs(4372)
         eval_homogeneous(INDEX_RECORD_LIMIT, 3, 2)
         eval_homogeneous(INDEX_RECORD_LIMIT - 1, 3, 2)
@@ -284,7 +290,7 @@ class TestDivisorProduct:
 
 class TestEvenIndexForm:
     """At even n = 2**k * m, m odd, the divisor product runs over the
-    squarefree d | m with terms a**(n/2d) + b**(n/2d); the evaluators that
+    squarefree d | m with terms a**(n/2d) + b**(n/2d); the oracles that
     keep the a**e - b**e form, and the naive coefficients, check it."""
 
     def test_matches_other_evaluators(self):
@@ -294,15 +300,13 @@ class TestEvenIndexForm:
                 for b in range(1, a):
                     if _gcd(a, b) != 1:
                         continue
-                    v = cyclotomic._eval_homogeneous(n, a, b)
-                    assert v == eval_mobius(n, a, b) == eval_recursive(n, a, b)
+                    assert cyclotomic._eval_homogeneous(n, a, b) == hom_value(n, a, b)
 
     def test_uncached_indices(self):
         assert min(4100, 4102, 8190) > INDEX_RECORD_LIMIT
         for n in (4100, 4102, 8190):
             for a, b in ((2, 1), (3, 2), (7, 4)):
-                v = cyclotomic._eval_homogeneous(n, a, b)
-                assert v == eval_mobius(n, a, b) == eval_recursive(n, a, b)
+                assert cyclotomic._eval_homogeneous(n, a, b) == mobius_value(n, a, b)
 
     def test_even_coefficients_match_naive(self):
         for n in range(2, 301, 2):
@@ -319,18 +323,22 @@ class TestValidation:
             with pytest.raises(ValueError) as expected:
                 Triple(a, b, n)
             messages.add(str(expected.value))
-            for evaluate in (eval_homogeneous, eval_mobius, eval_recursive):
-                with pytest.raises(ValueError) as raised:
-                    evaluate(n, a, b)
-                assert str(raised.value) == str(expected.value)
+            with pytest.raises(ValueError) as raised:
+                eval_homogeneous(n, a, b)
+            assert str(raised.value) == str(expected.value)
         assert len(messages) == len(self.BAD)
+
+
+def _divisor_product(n, a, b):
+    # the values at every d | n, which multiply to a**n - b**n
+    return prod(eval_homogeneous(d, a, b) for d in range(1, n + 1) if n % d == 0)
 
 
 class TestProductIdentity:
     def test_examples(self):
-        assert product_identity_check(6, 2, 1)
-        assert product_identity_check(12, 3, 2)
-        assert product_identity_check(1, 5, 2)
+        assert _divisor_product(6, 2, 1) == 63
+        assert _divisor_product(12, 3, 2) == 3**12 - 2**12
+        assert _divisor_product(1, 5, 2) == 3
 
     def test_small_sweep(self):
         for a in range(2, 7):
@@ -338,11 +346,7 @@ class TestProductIdentity:
                 if _gcd(a, b) != 1:
                     continue
                 for n in range(1, 25):
-                    assert product_identity_check(n, a, b)
-                    prod = 1
-                    for d in divisors(n):
-                        prod *= eval_homogeneous(d, a, b)
-                    assert prod == a**n - b**n
+                    assert _divisor_product(n, a, b) == a**n - b**n
 
 
 class TestPowerPieces:
@@ -447,17 +451,22 @@ class TestAurifeuillianSplit:
                         assert cyclotomic._aurifeuillian_pieces(n, a, b, value) == [value]
 
 
+def _strictly_bounded(n, a, b):
+    # (a - b)**phi < Phi_n(a, b) < (a + b)**phi, phi the naive degree
+    phi = len(naive_cyclotomic(n)) - 1
+    return (a - b) ** phi < eval_homogeneous(n, a, b) < (a + b) ** phi
+
+
 class TestBounds:
     def test_examples(self):
-        assert bounds_check(6, 2, 1)
-        assert bounds_check(3, 10, 1)
-        assert bounds_check(5, 2, 1)
+        assert _strictly_bounded(6, 2, 1)
+        assert _strictly_bounded(3, 10, 1)
+        assert _strictly_bounded(5, 2, 1)
 
     def test_rejects_small_index(self):
-        with pytest.raises(ValueError):
-            bounds_check(2, 3, 1)
-        with pytest.raises(ValueError):
-            bounds_check(1, 2, 1)
+        # below n = 3 the value is a bound: Phi_1 = a - b, Phi_2 = a + b
+        assert not _strictly_bounded(1, 2, 1)
+        assert not _strictly_bounded(2, 3, 1)
 
     def test_sweep(self):
         for a in range(2, 13):
@@ -465,7 +474,7 @@ class TestBounds:
                 if _gcd(a, b) != 1:
                     continue
                 for n in range(3, 31):
-                    assert bounds_check(n, a, b)
+                    assert _strictly_bounded(n, a, b)
 
     def test_strictness_content(self):
         # The inequality chain is strict on both sides; spot-check numbers.

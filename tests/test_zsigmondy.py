@@ -10,7 +10,6 @@ from zsig.cyclotomic import (
     _eval_homogeneous,
     cyclotomic_coeffs,
     eval_homogeneous,
-    eval_mobius,
 )
 from zsig.valuation import multiplicative_order
 from zsig.zsigmondy import (
@@ -25,7 +24,7 @@ from zsig.zsigmondy import (
     sufficiency_check,
     _phi_divisors,
 )
-from oracles import brute_zsigmondy, perfect_power_pairs
+from oracles import brute_zsigmondy, mobius_value, perfect_power_pairs
 
 
 def _coprime_pairs(a_max):
@@ -314,11 +313,11 @@ def _largest_prime(n):
 
 class TestDecisionReference:
     """The decision field by field against a reference built here from
-    eval_mobius and trial division."""
+    the oracles' mobius_value and trial division."""
 
     @staticmethod
     def _reference(a, b, n):
-        value = eval_mobius(n, a, b)
+        value = mobius_value(n, a, b)
         p = _largest_prime(n)
         residual, removed = value, 0
         while residual % p == 0:
